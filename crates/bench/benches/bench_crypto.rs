@@ -1,12 +1,11 @@
 //! Wall-clock benchmarks of the crypto substrate: the table-based
 //! ("AES-NI") cipher vs the deliberately slow software path, plus the
-//! hashing and key-agreement primitives used by the SEV protocol.
+//! key-agreement primitive used by the SEV protocol. SHA-256 throughput
+//! is measured (and floored) by `micro_memstream`'s `sha256_page_stream`.
 
 use fidelius_bench::time_ns_per_iter;
 use fidelius_crypto::aes::Aes128;
 use fidelius_crypto::aes_soft::SoftAes128;
-use fidelius_crypto::hmac::hmac_sha256;
-use fidelius_crypto::sha256::Sha256;
 use fidelius_crypto::x25519;
 use std::hint::black_box;
 
@@ -19,12 +18,6 @@ fn main() {
     let mut block = [0xA5u8; 16];
     let ns = time_ns_per_iter(10_000, || slow.encrypt_block(black_box(&mut block)));
     println!("aes_block/soft_aes128: {ns:.1} ns/iter");
-
-    let data = vec![0x5Au8; 1024];
-    let ns = time_ns_per_iter(10_000, || Sha256::digest(black_box(&data)));
-    println!("sha256_1k: {ns:.0} ns/iter");
-    let ns = time_ns_per_iter(10_000, || hmac_sha256(b"key", black_box(&data)));
-    println!("hmac_sha256_1k: {ns:.0} ns/iter");
 
     let k = [9u8; 32];
     let ns = time_ns_per_iter(100, || x25519::scalar_mult(black_box(&k), &x25519::BASE_POINT));

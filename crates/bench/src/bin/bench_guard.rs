@@ -33,6 +33,11 @@
 //! hardware AES (`soft_aes_aesni`) may be absent from the current run;
 //! that is a skip, not a failure, iff the baseline marked it `aesni`.
 //!
+//! Hashing scenarios (`sha256_page_stream`) carry a `"sha_backend"` field
+//! (`portable`/`shani`) under the same rules: the floor binds only when
+//! both engine stamps match, and absence is a skip iff the baseline ran on
+//! the SHA extensions.
+//!
 //! Usage:
 //!   bench_guard --baseline BENCH_memstream.json --current current.json \
 //!               [--max-drop-pct 30] [--max-rise-pct 200]
@@ -54,11 +59,19 @@ fn arg_value(name: &str) -> Option<String> {
 /// One baseline/current entry.
 #[derive(Debug, Clone, PartialEq)]
 enum Entry {
-    /// MB/s — higher is better, guarded with a floor keyed on the AES
-    /// backend (third field). The optional modeled cycles-per-byte figure
-    /// is deterministic and guarded with *exact* equality: wall clock may
+    /// MB/s — higher is better, guarded with a floor keyed on the host
+    /// engines. The optional modeled cycles-per-byte figure is
+    /// deterministic and guarded with *exact* equality: wall clock may
     /// drift, modeled cost may not.
-    Throughput(f64, Option<f64>, Option<String>),
+    Throughput {
+        /// Measured MB/s.
+        mbs: f64,
+        /// Modeled cycles per byte, when the scenario drives a machine.
+        cpb: Option<f64>,
+        /// The recorded `aes_backend` then `sha_backend` stamps (either
+        /// may be absent).
+        engines: Vec<String>,
+    },
     /// Wall nanoseconds — lower is better, guarded with a ceiling.
     Latency(f64),
 }
@@ -72,8 +85,11 @@ fn entries(doc: &str) -> Result<BTreeMap<String, Entry>, String> {
         let Some(bench) = line.get("bench").and_then(Json::as_str) else { continue };
         if let Some(mbs) = line.get("mb_per_s").and_then(Json::as_f64) {
             let cpb = line.get("cycles_per_byte").and_then(Json::as_f64);
-            let backend = line.get("aes_backend").and_then(Json::as_str).map(|s| s.to_string());
-            out.insert(bench.to_string(), Entry::Throughput(mbs, cpb, backend));
+            let engines = ["aes_backend", "sha_backend"]
+                .iter()
+                .filter_map(|key| line.get(key).and_then(Json::as_str).map(|s| s.to_string()))
+                .collect();
+            out.insert(bench.to_string(), Entry::Throughput { mbs, cpb, engines });
         } else if let Some(wall) = line.get("wall_ns").and_then(Json::as_f64) {
             out.insert(bench.to_string(), Entry::Latency(wall));
         }
@@ -106,15 +122,18 @@ fn run() -> Result<bool, String> {
     let mut ok = true;
     for (bench, base) in &baseline {
         let Some(cur) = current.get(bench) else {
-            // A scenario recorded on hardware AES is allowed to be absent
-            // on a host without the instructions — the scenario itself is
-            // hardware-conditional. Anything else missing is a loss.
-            if matches!(base, Entry::Throughput(_, _, Some(b)) if b == "aesni") {
-                println!(
-                    "skip {bench}: baseline ran on aesni, scenario absent here \
-                     (hardware AES unavailable)"
-                );
-                continue;
+            // A scenario recorded on a hardware engine is allowed to be
+            // absent on a host without the instructions — the scenario
+            // itself is hardware-conditional. Anything else missing is a
+            // loss.
+            if let Entry::Throughput { engines, .. } = base {
+                if let Some(hw) = engines.iter().find(|e| *e == "aesni" || *e == "shani") {
+                    println!(
+                        "skip {bench}: baseline ran on {hw}, scenario absent here \
+                         (hardware engine unavailable)"
+                    );
+                    continue;
+                }
             }
             println!("FAIL {bench}: missing from current run");
             ok = false;
@@ -122,10 +141,10 @@ fn run() -> Result<bool, String> {
         };
         match (base, cur) {
             (
-                Entry::Throughput(base_mbs, base_cpb, base_backend),
-                Entry::Throughput(cur_mbs, cur_cpb, cur_backend),
+                Entry::Throughput { mbs: base_mbs, cpb: base_cpb, engines: base_engines },
+                Entry::Throughput { mbs: cur_mbs, cpb: cur_cpb, engines: cur_engines },
             ) => {
-                if base_backend == cur_backend {
+                if base_engines == cur_engines {
                     let floor = base_mbs * (1.0 - max_drop_pct / 100.0);
                     let verdict = if *cur_mbs < floor { "FAIL" } else { "ok  " };
                     println!(
@@ -137,13 +156,18 @@ fn run() -> Result<bool, String> {
                     // Different engines are different machines as far as a
                     // wall-clock floor is concerned; the modeled check
                     // below still binds.
-                    let name =
-                        |b: &Option<String>| b.as_deref().unwrap_or("unrecorded").to_string();
+                    let name = |engines: &Vec<String>| {
+                        if engines.is_empty() {
+                            "unrecorded".to_string()
+                        } else {
+                            engines.join("+")
+                        }
+                    };
                     println!(
-                        "skip {bench}: floor not applied — baseline backend `{}` vs current \
+                        "skip {bench}: floor not applied — baseline engine `{}` vs current \
                          `{}` ({cur_mbs:.2} MB/s vs {base_mbs:.2} MB/s, informational)",
-                        name(base_backend),
-                        name(cur_backend)
+                        name(base_engines),
+                        name(cur_engines)
                     );
                 }
                 // Modeled cost is deterministic AND backend-independent:

@@ -28,12 +28,16 @@
 //! - `soft_aes_aesni`       — the same block stream on the hardware AES
 //!   backend; present only when the `aesni` feature is compiled in *and*
 //!   the host CPU has the instructions.
+//! - `sha256_page_stream`   — 4 KiB pages into one running SHA-256
+//!   hasher, finalized once per pass: the shape of the SEND/RECEIVE
+//!   migration measurement, on the default SHA engine.
 //!
 //! AES-dominated scenarios carry an `"aes_backend"` field naming the
 //! engine they actually ran on (the default backend unless pinned, so an
-//! `aesni` build reports `aesni` for the mode scenarios). `bench_guard`
-//! keys its throughput floors on it: floors recorded on one backend are
-//! skipped — not failed — when the current host runs another.
+//! `aesni` build reports `aesni` for the mode scenarios), and the hashing
+//! scenario a `"sha_backend"` field the same way. `bench_guard` keys its
+//! throughput floors on both: floors recorded on one engine are skipped —
+//! not failed — when the current host runs another.
 //! - `guest_gpa_stream`     — an SEV guest linearly sweeps a 1 MiB
 //!   guest-physical window the way a VM actually touches its RAM: small
 //!   accesses through an *identity* virtual mapping, so every access
@@ -62,6 +66,7 @@ use fidelius_bench::{arg_u64, emit_throughput, measure_throughput, note, Through
 use fidelius_crypto::aes::{default_backend, Aes128, AesBackend};
 use fidelius_crypto::aes_soft::SoftAes128;
 use fidelius_crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
+use fidelius_crypto::sha256::{self, Sha256};
 use fidelius_hw::cpu::{Machine, PrivOp};
 use fidelius_hw::mem::{Dram, FrameAllocator};
 use fidelius_hw::memctrl::{EncSel, MemoryController};
@@ -172,6 +177,20 @@ fn soft_aes_aesni(iters: u32, len: usize) -> Throughput {
         aes.encrypt_blocks(&mut buf);
     })
     .with_aes_backend(AesBackend::AesNi.name())
+}
+
+/// The migration measurement shape: every page of the buffer through one
+/// running hasher, then one digest.
+fn sha256_page_stream(iters: u32, len: usize) -> Throughput {
+    let buf = vec![0xA5u8; len];
+    measure_throughput("sha256_page_stream", len as u64, iters, || {
+        let mut h = Sha256::new();
+        for page in buf.chunks(PAGE_SIZE as usize) {
+            h.update(page);
+        }
+        std::hint::black_box(h.finalize());
+    })
+    .with_sha_backend(sha256::default_backend().name())
 }
 
 /// Host-physical base of the guest's memory for the stream scenarios.
@@ -314,11 +333,12 @@ fn main() {
         note!("  (soft_aes_aesni skipped: hardware AES backend unavailable in this build/host)");
     }
     scenarios.extend([
+        sha256_page_stream,
         guest_gpa_stream,
         guest_gpa_stream_walk,
         guest_virt_stream,
         guest_virt_stream_walk,
-    ] as [fn(u32, usize) -> Throughput; 4]);
+    ] as [fn(u32, usize) -> Throughput; 5]);
     let results =
         fidelius_par::par_map_ordered(&scenarios, threads, |_, scenario| scenario(iters, len));
     for t in &results {

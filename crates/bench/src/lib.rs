@@ -179,6 +179,10 @@ pub struct Throughput {
     /// its throughput floors on this: a baseline recorded on `aesni`
     /// must not fail CI on a host without the instructions.
     pub aes_backend: Option<&'static str>,
+    /// Host SHA-256 engine the scenario ran on (`"portable"`, `"shani"`),
+    /// when hashing dominates its wall clock; keyed on by `bench_guard`
+    /// exactly like [`Throughput::aes_backend`].
+    pub sha_backend: Option<&'static str>,
 }
 
 impl Throughput {
@@ -192,6 +196,13 @@ impl Throughput {
     /// field doc; shows up as `"aes_backend"` in the JSON line).
     pub fn with_aes_backend(mut self, backend: &'static str) -> Self {
         self.aes_backend = Some(backend);
+        self
+    }
+
+    /// Records which host SHA-256 engine produced this measurement (shows
+    /// up as `"sha_backend"` in the JSON line).
+    pub fn with_sha_backend(mut self, backend: &'static str) -> Self {
+        self.sha_backend = Some(backend);
         self
     }
 }
@@ -214,6 +225,7 @@ pub fn measure_throughput(bench: &str, bytes: u64, iters: u32, mut f: impl FnMut
         mb_per_s,
         cycles_per_byte: None,
         aes_backend: None,
+        sha_backend: None,
     }
 }
 
@@ -240,16 +252,22 @@ pub fn emit_throughput(t: &Throughput) {
         if let Some(backend) = t.aes_backend {
             fields.push(("aes_backend", Json::str(backend)));
         }
+        if let Some(backend) = t.sha_backend {
+            fields.push(("sha_backend", Json::str(backend)));
+        }
         println!("{}", Json::obj(fields));
     } else {
         let modeled = match t.cycles_per_byte {
             Some(cpb) => format!(", {cpb:.4} cycles/byte modeled"),
             None => String::new(),
         };
-        let backend = match t.aes_backend {
-            Some(b) => format!(", aes backend {b}"),
-            None => String::new(),
-        };
+        let mut backend = String::new();
+        if let Some(b) = t.aes_backend {
+            backend += &format!(", aes backend {b}");
+        }
+        if let Some(b) = t.sha_backend {
+            backend += &format!(", sha backend {b}");
+        }
         println!(
             "  {:<24} {:>10.2} MB/s  (median {} ns, min {} ns, max {} ns / {} bytes per iteration{modeled}{backend})",
             t.bench, t.mb_per_s, t.wall_ns, t.min_ns, t.max_ns, t.bytes

@@ -106,6 +106,7 @@ fn micro_memstream_json_round_trips() {
         expected.push("soft_aes_aesni");
     }
     expected.extend([
+        "sha256_page_stream",
         "guest_gpa_stream",
         "guest_gpa_stream_walk",
         "guest_virt_stream",
@@ -129,6 +130,15 @@ fn micro_memstream_json_round_trips() {
             "{cipher_bench} must carry an aes_backend tag"
         );
     }
+    // The hashing scenario records the SHA-256 engine the same way.
+    let sha = lines
+        .iter()
+        .find(|j| j.get("bench").and_then(Json::as_str) == Some("sha256_page_stream"))
+        .unwrap();
+    assert_eq!(
+        sha.get("sha_backend").and_then(Json::as_str),
+        Some(fidelius_crypto::sha256::default_backend().name())
+    );
 }
 
 #[test]

@@ -285,6 +285,51 @@ mod tests {
         assert!(matches!(migrate_in(&mut dst, &package), Err(XenError::Sev(_))));
     }
 
+    /// The hypervisor carries the stream, so it can also resize one page's
+    /// ciphertext. A short or long chunk is a typed firmware error — not a
+    /// panic — and the receive fails closed and rolls back like any other
+    /// tamper, leaving room for the intact stream.
+    #[test]
+    fn resized_page_fails_closed_and_rolls_back() {
+        let mut src = protected_system(DRAM, 44).unwrap();
+        let mut dst = protected_system(DRAM, 45).unwrap();
+        let mut owner = GuestOwner::new(46);
+        let image = owner.package_image(b"kernel", &src.plat.firmware.pdh_public());
+        let dom = boot_encrypted_guest(&mut src, &image, 192).unwrap();
+        let gpa = Gpa(gplayout::HEAP_PAGE * PAGE_SIZE);
+        src.gpa_write(dom, gpa, b"survives-resizes", true).unwrap();
+        src.ensure_host().unwrap();
+        let good = migrate_out(&mut src, dom, &dst.plat.firmware.pdh_public()).unwrap();
+
+        let mut truncated = good.clone();
+        truncated.pages[3].1.truncate(100);
+        let mut lengthened = good.clone();
+        lengthened.pages[3].1.push(0);
+        for (bad, got) in [(truncated, 100), (lengthened, PAGE_SIZE as usize + 1)] {
+            let denials_before = dst.plat.machine.trace.events().len();
+            let err = migrate_in(&mut dst, &bad);
+            assert!(
+                matches!(
+                    err,
+                    Err(XenError::Sev(fidelius_sev::SevError::InvalidLength { got: g, expected }))
+                        if g == got && expected == PAGE_SIZE as usize
+                ),
+                "expected typed length error, got {err:?}"
+            );
+            assert!(dst.xen.domains.values().all(|d| d.state == DomainState::Dead));
+            assert!(dst.plat.machine.trace.events()[denials_before..].iter().any(|e| matches!(
+                e.event,
+                fidelius_telemetry::Event::Denial { reason: DenialReason::MigrationStreamTampered }
+            )));
+        }
+
+        let new_dom = migrate_in(&mut dst, &good).unwrap();
+        dst.ensure_guest(new_dom).unwrap();
+        let mut back = [0u8; 16];
+        dst.plat.machine.guest_read_gpa(gpa, &mut back, true).unwrap();
+        assert_eq!(&back, b"survives-resizes");
+    }
+
     #[test]
     fn truncated_stream_fails_closed_without_committing_resources() {
         let mut src = protected_system(DRAM, 61).unwrap();

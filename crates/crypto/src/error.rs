@@ -25,9 +25,10 @@ pub enum CryptoError {
     UnwrapFailure,
     /// A point or scalar was not a valid X25519 input.
     InvalidPoint,
-    /// An explicitly requested AES backend is not usable in this build or
-    /// on this host (e.g. `AesBackend::AesNi` without the `aesni` cargo
-    /// feature, or on a CPU without the AES instructions).
+    /// An explicitly requested AES or SHA-256 backend is not usable in this
+    /// build or on this host (e.g. `AesBackend::AesNi` or
+    /// `ShaBackend::ShaNi` without the `aesni` cargo feature, or on a CPU
+    /// without the instructions).
     BackendUnavailable {
         /// Stable name of the backend that was requested.
         backend: &'static str,
@@ -47,7 +48,7 @@ impl fmt::Display for CryptoError {
             CryptoError::UnwrapFailure => write!(f, "key unwrap integrity check failed"),
             CryptoError::InvalidPoint => write!(f, "invalid X25519 point or scalar"),
             CryptoError::BackendUnavailable { backend } => {
-                write!(f, "requested AES backend `{backend}` is unavailable in this build/host")
+                write!(f, "requested backend `{backend}` is unavailable in this build/host")
             }
         }
     }

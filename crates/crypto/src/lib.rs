@@ -15,7 +15,10 @@
 //! - [`modes`] — CTR, CBC, a tweaked sector mode for disk images, and the
 //!   physical-address-tweaked block mode used by the simulated SME/SEV
 //!   memory-encryption engine.
-//! - [`sha256`], [`hmac`] — hashing and MACs for SEV measurements.
+//! - [`sha256`], [`hmac`] — hashing and MACs for SEV measurements, with
+//!   runtime-dispatched compression engines (a portable unrolled core and
+//!   — behind the same `aesni` feature — the x86 SHA extensions), all
+//!   bit-identical; see [`sha256::ShaBackend`].
 //! - [`x25519`] — the ECDH key agreement used by the SEV SEND/RECEIVE
 //!   protocol between guest owner and firmware.
 //! - [`keywrap`] — AES key wrap for the transport keys (`Kwrap` = wrapped
@@ -38,10 +41,11 @@
 //! assert_eq!(block, original);
 //! ```
 
-// The crate is `unsafe`-free except for the AES-NI intrinsics: with the
+// The crate is `unsafe`-free except for the CPU intrinsics: with the
 // `aesni` feature off, `unsafe` stays forbidden outright; with it on, it is
-// denied everywhere and allowed only inside `aes_ni` (each site carries an
-// explicit `#[allow(unsafe_code)]` + SAFETY comment).
+// denied everywhere and allowed only inside `aes_ni` (AES instructions) and
+// `sha_ni` (SHA extensions) — each site carries an explicit
+// `#[allow(unsafe_code)]` + SAFETY comment.
 #![cfg_attr(not(all(feature = "aesni", target_arch = "x86_64")), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +61,8 @@ pub mod keywrap;
 pub mod modes;
 pub mod rng;
 pub mod sha256;
+#[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+mod sha_ni;
 pub mod x25519;
 
 pub use error::CryptoError;

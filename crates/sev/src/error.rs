@@ -36,6 +36,15 @@ pub enum SevError {
     /// replay. Only the retrofitted firmware reports this; vanilla SEV
     /// firmware has no anti-replay state and accepts the stale session.
     SessionNonceReplayed,
+    /// A command's data argument had the wrong length — e.g. a
+    /// `RECEIVE_UPDATE_DATA` chunk the hypervisor shortened or lengthened
+    /// in transit, which is not exactly one page.
+    InvalidLength {
+        /// Length that was supplied, in bytes.
+        got: usize,
+        /// Length the command requires, in bytes.
+        expected: usize,
+    },
     /// An underlying hardware access failed.
     Hw(HwError),
 }
@@ -56,6 +65,9 @@ impl fmt::Display for SevError {
             SevError::BadSessionKeys => write!(f, "session key unwrap failed"),
             SevError::SessionNonceReplayed => {
                 write!(f, "session nonce already consumed (rollback replay)")
+            }
+            SevError::InvalidLength { got, expected } => {
+                write!(f, "invalid data length {got}, command requires {expected}")
             }
             SevError::Hw(e) => write!(f, "hardware error: {e}"),
         }
@@ -88,5 +100,7 @@ mod tests {
         assert!(e.source().is_none());
         let hw = SevError::Hw(HwError::OutOfFrames);
         assert!(hw.source().is_some());
+        let len = SevError::InvalidLength { got: 100, expected: 4096 };
+        assert_eq!(len.to_string(), "invalid data length 100, command requires 4096");
     }
 }

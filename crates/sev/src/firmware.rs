@@ -580,7 +580,10 @@ impl Firmware {
     ///
     /// # Errors
     ///
-    /// Requires the `Receiving` state; `chunk` must be one page.
+    /// Requires the `Receiving` state. A `chunk` that is not exactly one
+    /// page — the stream is the hypervisor's to carry, so it may arrive
+    /// shortened or lengthened — is [`SevError::InvalidLength`], before
+    /// anything is decrypted, measured or written.
     pub fn receive_update_page(
         &mut self,
         machine: &mut Machine,
@@ -590,7 +593,9 @@ impl Firmware {
         dst_pa: Hpa,
     ) -> Result<(), SevError> {
         let ciphers = self.cached_ciphers(h, GuestState::Receiving)?;
-        assert_eq!(chunk.len() as u64, PAGE_SIZE, "receive chunks are pages");
+        if chunk.len() as u64 != PAGE_SIZE {
+            return Err(SevError::InvalidLength { got: chunk.len(), expected: PAGE_SIZE as usize });
+        }
         let span = machine.span_open(
             SpanKind::CryptoRun,
             "crypto:receive_update",
