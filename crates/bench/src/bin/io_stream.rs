@@ -22,9 +22,10 @@
 //!   submitted alone; the ratio to `io_stream_plain` is the host-time
 //!   win of the batched drain.
 //! - `io_stream_aesni`        — 4 queues with the guest-side `Kblk`
-//!   AES path. Bounded by the deliberately software-shaped AES core
-//!   (the `sector_cipher` scenario in `micro_memstream` is its ceiling),
-//!   so expect this well below the plain number.
+//!   AES path: per-sector counter mode through the schedule's engine
+//!   (with the `aesni` feature on an AES-NI host, one fused kernel call
+//!   per sector — `sector_cipher` in `micro_memstream` times that alone),
+//!   so it sits below the plain number by the cost of the sector crypto.
 //! - `io_stream_sev`          — single queue through the retrofitted
 //!   SEV-API helper path (firmware transforms between the guest key and
 //!   `Kblk` in the Md window).

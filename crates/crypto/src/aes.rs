@@ -737,10 +737,102 @@ impl KeySchedule {
         }
     }
 
+    /// Counter mode with the counter-block layout every 64-bit-counter mode
+    /// here uses: XORs `data` with the keystream of the blocks
+    /// `prefix_be ‖ (first + i)_be`, `i` counting 16-byte chunks (the final
+    /// chunk may be short). The 64-bit counter wraps within the low half;
+    /// the prefix never changes. This is the engine behind
+    /// [`crate::modes::Ctr128`] and [`crate::modes::SectorCipher`].
+    ///
+    /// On [`AesBackend::AesNi`] the whole buffer is one fused kernel call
+    /// (round keys loaded once, counters formed in registers); the other
+    /// backends run [`KeySchedule::xor_keystream`]. Every backend produces
+    /// the same bytes.
+    pub fn ctr_xor(&self, prefix: u64, first: u64, data: &mut [u8]) {
+        #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+        if let Some(ni) = &self.ni {
+            ni.ctr_xor(prefix, first, data);
+            return;
+        }
+        self.xor_keystream(
+            |i| {
+                let mut block = [0u8; 16];
+                block[..8].copy_from_slice(&prefix.to_be_bytes());
+                block[8..].copy_from_slice(&first.wrapping_add(i).to_be_bytes());
+                block
+            },
+            data,
+        );
+    }
+
+    /// XEX encryption of whole 16-byte blocks in place: the block at offset
+    /// `16 * i` is XORed with the tweak of address `base + 16 * i`
+    /// (wrapping) before and after the cipher. `tweak(addr)` returns the
+    /// `(lo, hi)` halves, XORed little-endian into bytes `0..8` and `8..16`.
+    /// This is the engine behind [`crate::modes::PaTweakCipher`], which
+    /// passes its physical-address tweak.
+    ///
+    /// On [`AesBackend::AesNi`] the whole buffer is one fused kernel call;
+    /// the other backends whiten and cipher [`INTERLEAVE`]-block runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of 16.
+    pub fn xex_encrypt_blocks(
+        &self,
+        base: u64,
+        tweak: impl Fn(u64) -> (u64, u64),
+        data: &mut [u8],
+    ) {
+        self.xex_blocks::<false>(base, tweak, data);
+    }
+
+    /// XEX decryption of whole 16-byte blocks in place; the inverse of
+    /// [`KeySchedule::xex_encrypt_blocks`] under the same tweak.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of 16.
+    pub fn xex_decrypt_blocks(
+        &self,
+        base: u64,
+        tweak: impl Fn(u64) -> (u64, u64),
+        data: &mut [u8],
+    ) {
+        self.xex_blocks::<true>(base, tweak, data);
+    }
+
+    fn xex_blocks<const DECRYPT: bool>(
+        &self,
+        base: u64,
+        tweak: impl Fn(u64) -> (u64, u64),
+        data: &mut [u8],
+    ) {
+        assert_eq!(data.len() % 16, 0, "XEX needs whole 16-byte blocks");
+        #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
+        if let Some(ni) = &self.ni {
+            ni.xex_blocks::<DECRYPT>(base, tweak, data);
+            return;
+        }
+        let mut pa = base;
+        for run in data.chunks_mut(INTERLEAVE_BYTES) {
+            xor_tweaks(pa, &tweak, run);
+            if DECRYPT {
+                self.decrypt_batch_dispatch(run);
+            } else {
+                self.encrypt_batch_dispatch(run);
+            }
+            xor_tweaks(pa, &tweak, run);
+            pa = pa.wrapping_add(INTERLEAVE_BYTES as u64);
+        }
+    }
+
     /// XORs `data` with the keystream obtained by encrypting
     /// `counter_block(i)` for each 16-byte chunk `i` (the final chunk may be
-    /// short). This is the shared engine behind [`crate::modes::Ctr128`] and
-    /// [`crate::modes::SectorCipher`].
+    /// short) — counter mode for any counter-block layout, such as the
+    /// 128-bit counters of the DRBG and the software-AES baseline. Layouts
+    /// of the form `prefix ‖ counter64` go through
+    /// [`KeySchedule::ctr_xor`] instead.
     ///
     /// The keystream is generated [`INTERLEAVE`] counter blocks at a time
     /// into a stack scratch and encrypted through the schedule's backend
@@ -771,6 +863,20 @@ impl KeySchedule {
                 *d ^= *k;
             }
         }
+    }
+}
+
+/// XORs `tweak(base + 16 * i)` into block `i` of a whole-block run, the
+/// `(lo, hi)` halves little-endian into bytes `0..8` and `8..16`.
+#[inline]
+fn xor_tweaks(base: u64, tweak: &impl Fn(u64) -> (u64, u64), run: &mut [u8]) {
+    for (i, block) in run.chunks_exact_mut(16).enumerate() {
+        let (lo, hi) = tweak(base.wrapping_add(16 * i as u64));
+        let (a, b) = block.split_at_mut(8);
+        let a: &mut [u8; 8] = a.try_into().expect("8 bytes");
+        let b: &mut [u8; 8] = b.try_into().expect("8 bytes");
+        *a = (u64::from_le_bytes(*a) ^ lo).to_le_bytes();
+        *b = (u64::from_le_bytes(*b) ^ hi).to_le_bytes();
     }
 }
 

@@ -13,10 +13,12 @@
 //!   ciphertext *replayed in place* decrypts fine, which is exactly the
 //!   replay weakness the paper's §2.2 describes and Fidelius closes.
 //!
-//! All three modes route bulk traffic through
-//! [`crate::aes::KeySchedule::xor_keystream`] or the batched
-//! `encrypt_blocks`/`decrypt_blocks` entry points so large buffers pay one
-//! dispatch per 16-byte block into the T-table core and nothing else.
+//! Each bulk call is one call into the schedule's engine:
+//! [`crate::aes::KeySchedule::ctr_xor`] for the two counter modes and
+//! [`crate::aes::KeySchedule::xex_encrypt_blocks`] /
+//! [`crate::aes::KeySchedule::xex_decrypt_blocks`] for the tweaked mode.
+//! On the AES-NI backend each is a fused kernel over the whole buffer. The
+//! physical-address tweak is defined here and nowhere else.
 
 use crate::aes::Aes128;
 
@@ -54,16 +56,7 @@ impl Ctr128 {
     /// allocations — per sector; this is the same keystream with no
     /// context constructed at all.
     pub fn apply_with(cipher: &Aes128, nonce: u64, block_offset: u64, data: &mut [u8]) {
-        let nonce = nonce.to_be_bytes();
-        cipher.schedule().xor_keystream(
-            |i| {
-                let mut ks = [0u8; 16];
-                ks[..8].copy_from_slice(&nonce);
-                ks[8..].copy_from_slice(&block_offset.wrapping_add(i).to_be_bytes());
-                ks
-            },
-            data,
-        );
+        cipher.schedule().ctr_xor(nonce, block_offset, data);
     }
 }
 
@@ -84,6 +77,13 @@ impl SectorCipher {
     /// Creates a sector cipher from the disk key `Kblk`.
     pub fn new(kblk: &[u8; 16]) -> Self {
         SectorCipher { cipher: Aes128::new(kblk) }
+    }
+
+    /// Creates a sector cipher around an already-expanded `Kblk` cipher
+    /// (for instance one pinned to a host engine with
+    /// [`Aes128::with_backend`]).
+    pub fn from_cipher(cipher: Aes128) -> Self {
+        SectorCipher { cipher }
     }
 
     /// Encrypts one sector in place.
@@ -135,16 +135,7 @@ impl SectorCipher {
 
     fn apply(&self, sector_no: u64, sector: &mut [u8]) {
         assert_eq!(sector.len(), SECTOR_SIZE, "sector must be {SECTOR_SIZE} bytes");
-        let sector_be = sector_no.to_be_bytes();
-        self.cipher.schedule().xor_keystream(
-            |i| {
-                let mut ks = [0u8; 16];
-                ks[..8].copy_from_slice(&sector_be);
-                ks[8..].copy_from_slice(&i.to_be_bytes());
-                ks
-            },
-            sector,
-        );
+        self.cipher.schedule().ctr_xor(sector_no, 0, sector);
     }
 }
 
@@ -161,6 +152,12 @@ impl PaTweakCipher {
         PaTweakCipher { cipher: Aes128::new(key) }
     }
 
+    /// Creates the engine cipher around an already-expanded cipher (for
+    /// instance one pinned to a host engine with [`Aes128::with_backend`]).
+    pub fn from_cipher(cipher: Aes128) -> Self {
+        PaTweakCipher { cipher }
+    }
+
     /// The two 64-bit halves of the tweak for physical address `pa`.
     ///
     /// A simple public diffusion of the physical block address; the real
@@ -169,15 +166,6 @@ impl PaTweakCipher {
     fn tweak_halves(pa: u64) -> (u64, u64) {
         let x = pa ^ pa.rotate_left(23) ^ 0x9E37_79B9_7F4A_7C15;
         (x, (!x).rotate_left(17))
-    }
-
-    #[inline]
-    fn xor_tweak(pa: u64, block: &mut [u8; 16]) {
-        let (lo, hi) = Self::tweak_halves(pa);
-        let a = u64::from_le_bytes(block[..8].try_into().expect("8 bytes")) ^ lo;
-        let b = u64::from_le_bytes(block[8..].try_into().expect("8 bytes")) ^ hi;
-        block[..8].copy_from_slice(&a.to_le_bytes());
-        block[8..].copy_from_slice(&b.to_le_bytes());
     }
 
     /// The 16-byte tweak mask `T(pa)` for physical address `pa`.
@@ -202,59 +190,25 @@ impl PaTweakCipher {
 
     /// Encrypts one 16-byte block located at physical address `pa`.
     pub fn encrypt_block(&self, pa: u64, block: &mut [u8; 16]) {
-        Self::xor_tweak(pa, block);
-        self.cipher.encrypt_block(block);
-        Self::xor_tweak(pa, block);
+        self.encrypt_blocks(pa, block);
     }
 
     /// Decrypts one 16-byte block located at physical address `pa`.
     pub fn decrypt_block(&self, pa: u64, block: &mut [u8; 16]) {
-        Self::xor_tweak(pa, block);
-        self.cipher.decrypt_block(block);
-        Self::xor_tweak(pa, block);
-    }
-
-    /// XORs the tweaks of [`INTERLEAVE`](crate::aes::INTERLEAVE) consecutive
-    /// block addresses into a 128-byte run — the pre/post whitening pass
-    /// around one interleaved AES call in the streaming paths.
-    #[inline]
-    fn xor_tweak_run(base_pa: u64, run: &mut [u8; crate::aes::INTERLEAVE_BYTES]) {
-        for (i, chunk) in run.chunks_exact_mut(16).enumerate() {
-            let block: &mut [u8; 16] = chunk.try_into().expect("chunk is 16 bytes");
-            Self::xor_tweak(base_pa.wrapping_add(16 * i as u64), block);
-        }
+        self.decrypt_blocks(pa, block);
     }
 
     /// Encrypts consecutive 16-byte blocks in place, the block at offset
-    /// `16 * i` being located at physical address `base_pa + 16 * i`. The
-    /// tweak advances with the running address instead of being re-derived
-    /// through a fresh call per block, and whole 8-block runs are whitened
-    /// in one pass and encrypted through the interleaved round loop — this
-    /// is the memory controller's streaming write path.
+    /// `16 * i` being located at physical address `base_pa + 16 * i` — the
+    /// memory controller's streaming write path. The whole run is one
+    /// [`KeySchedule::xex_encrypt_blocks`](crate::aes::KeySchedule::xex_encrypt_blocks)
+    /// call with this engine's tweak.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` is not a multiple of 16.
     pub fn encrypt_blocks(&self, base_pa: u64, data: &mut [u8]) {
-        assert_eq!(data.len() % 16, 0, "streaming tweak path needs whole blocks");
-        let schedule = self.cipher.schedule();
-        let mut pa = base_pa;
-        let mut wide = data.chunks_exact_mut(crate::aes::INTERLEAVE_BYTES);
-        for chunk in &mut wide {
-            let run: &mut [u8; crate::aes::INTERLEAVE_BYTES] =
-                chunk.try_into().expect("chunk is INTERLEAVE_BYTES");
-            Self::xor_tweak_run(pa, run);
-            schedule.encrypt_blocks(run);
-            Self::xor_tweak_run(pa, run);
-            pa = pa.wrapping_add(crate::aes::INTERLEAVE_BYTES as u64);
-        }
-        for chunk in wide.into_remainder().chunks_exact_mut(16) {
-            let block: &mut [u8; 16] = chunk.try_into().expect("chunk is 16 bytes");
-            Self::xor_tweak(pa, block);
-            schedule.encrypt_block(block);
-            Self::xor_tweak(pa, block);
-            pa = pa.wrapping_add(16);
-        }
+        self.cipher.schedule().xex_encrypt_blocks(base_pa, Self::tweak_halves, data);
     }
 
     /// Decrypts consecutive 16-byte blocks in place; see
@@ -264,25 +218,7 @@ impl PaTweakCipher {
     ///
     /// Panics if `data.len()` is not a multiple of 16.
     pub fn decrypt_blocks(&self, base_pa: u64, data: &mut [u8]) {
-        assert_eq!(data.len() % 16, 0, "streaming tweak path needs whole blocks");
-        let schedule = self.cipher.schedule();
-        let mut pa = base_pa;
-        let mut wide = data.chunks_exact_mut(crate::aes::INTERLEAVE_BYTES);
-        for chunk in &mut wide {
-            let run: &mut [u8; crate::aes::INTERLEAVE_BYTES] =
-                chunk.try_into().expect("chunk is INTERLEAVE_BYTES");
-            Self::xor_tweak_run(pa, run);
-            schedule.decrypt_blocks(run);
-            Self::xor_tweak_run(pa, run);
-            pa = pa.wrapping_add(crate::aes::INTERLEAVE_BYTES as u64);
-        }
-        for chunk in wide.into_remainder().chunks_exact_mut(16) {
-            let block: &mut [u8; 16] = chunk.try_into().expect("chunk is 16 bytes");
-            Self::xor_tweak(pa, block);
-            schedule.decrypt_block(block);
-            Self::xor_tweak(pa, block);
-            pa = pa.wrapping_add(16);
-        }
+        self.cipher.schedule().xex_decrypt_blocks(base_pa, Self::tweak_halves, data);
     }
 }
 
@@ -455,21 +391,30 @@ mod tests {
         assert_ne!(adjusted, plain);
     }
 
-    /// The streaming block path must equal per-block encryption at the same
-    /// addresses — this is what keeps DRAM ciphertext byte-identical when
-    /// the memory controller switches to it.
+    /// The streaming block path must equal per-block XEX built by hand —
+    /// the public tweak mask around one AES block call at each address —
+    /// which is what keeps DRAM ciphertext byte-identical whichever engine
+    /// and kernel width runs.
     #[test]
     fn pa_tweak_stream_matches_per_block() {
-        let c = PaTweakCipher::new(&[0x31u8; 16]);
-        let mut data: Vec<u8> = (0..160u8).map(|b| b.wrapping_mul(7)).collect();
+        let key = [0x31u8; 16];
+        let c = PaTweakCipher::new(&key);
+        let aes = crate::aes::Aes128::new(&key);
+        let mut data: Vec<u8> = (0..=255u8).chain(0..160).map(|b| b.wrapping_mul(7)).collect();
         let original = data.clone();
         c.encrypt_blocks(0x2340, &mut data);
         let mut manual = original.clone();
         for (i, chunk) in manual.chunks_exact_mut(16).enumerate() {
             let block: &mut [u8; 16] = chunk.try_into().unwrap();
-            c.encrypt_block(0x2340 + 16 * i as u64, block);
+            let mask = PaTweakCipher::tweak_mask(0x2340 + 16 * i as u64);
+            block.iter_mut().zip(mask).for_each(|(b, m)| *b ^= m);
+            aes.encrypt_block(block);
+            block.iter_mut().zip(mask).for_each(|(b, m)| *b ^= m);
         }
         assert_eq!(data, manual);
+        let mut single = original[..16].try_into().unwrap();
+        c.encrypt_block(0x2340, &mut single);
+        assert_eq!(single, manual[..16]);
         c.decrypt_blocks(0x2340, &mut data);
         assert_eq!(data, original);
     }

@@ -1,7 +1,7 @@
 //! SEV firmware command errors.
 
 use crate::firmware::{GuestState, PlatformState};
-use fidelius_hw::{Asid, HwError};
+use fidelius_hw::{Asid, Hpa, HwError};
 use std::error::Error;
 use std::fmt;
 
@@ -45,6 +45,16 @@ pub enum SevError {
         /// Length the command requires, in bytes.
         expected: usize,
     },
+    /// A command's physical-address argument was unusable: not 16-byte
+    /// aligned where the memory engine needs whole blocks, or the span
+    /// `[pa, pa + len)` does not lie inside DRAM (including spans whose end
+    /// overflows). Checked before the command sizes anything from `len`.
+    InvalidAddress {
+        /// Start of the span that was supplied.
+        pa: Hpa,
+        /// Length of the span, in bytes.
+        len: u64,
+    },
     /// An underlying hardware access failed.
     Hw(HwError),
 }
@@ -68,6 +78,9 @@ impl fmt::Display for SevError {
             }
             SevError::InvalidLength { got, expected } => {
                 write!(f, "invalid data length {got}, command requires {expected}")
+            }
+            SevError::InvalidAddress { pa, len } => {
+                write!(f, "invalid physical span {:#x} + {len} bytes", pa.0)
             }
             SevError::Hw(e) => write!(f, "hardware error: {e}"),
         }
@@ -102,5 +115,7 @@ mod tests {
         assert!(hw.source().is_some());
         let len = SevError::InvalidLength { got: 100, expected: 4096 };
         assert_eq!(len.to_string(), "invalid data length 100, command requires 4096");
+        let span = SevError::InvalidAddress { pa: Hpa(0x1008), len: 32 };
+        assert_eq!(span.to_string(), "invalid physical span 0x1008 + 32 bytes");
     }
 }

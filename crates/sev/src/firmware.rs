@@ -321,7 +321,9 @@ impl Firmware {
     ///
     /// # Errors
     ///
-    /// Requires the `Launching` state; `pa`/`len` must be 16-byte aligned.
+    /// Requires the `Launching` state. A `pa` that is not 16-byte aligned
+    /// or a span outside DRAM is [`SevError::InvalidAddress`]; a `len` that
+    /// is not whole 16-byte blocks is [`SevError::InvalidLength`].
     pub fn launch_update_data(
         &mut self,
         machine: &mut Machine,
@@ -331,8 +333,7 @@ impl Firmware {
     ) -> Result<(), SevError> {
         self.require_init()?;
         let ciphers = self.cached_ciphers(h, GuestState::Launching)?;
-        assert_eq!(pa.0 % 16, 0, "launch data must be block aligned");
-        assert_eq!(len % 16, 0, "launch data length must be block aligned");
+        check_engine_span(machine, pa, len)?;
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(pa, &mut buf).map_err(SevError::Hw)?;
         self.guest_mut(h).expect("validated above").measurement.update(&buf);
@@ -688,7 +689,9 @@ impl Firmware {
     ///
     /// # Errors
     ///
-    /// Requires a `Sending`-state helper context.
+    /// Requires a `Sending`-state helper context. `src_pa` and `len` are
+    /// checked like [`Firmware::launch_update_data`]'s arguments, and
+    /// `[dst_pa, dst_pa + len)` must lie inside DRAM.
     pub fn io_encrypt(
         &mut self,
         machine: &mut Machine,
@@ -699,8 +702,8 @@ impl Firmware {
         stream: u64,
     ) -> Result<(), SevError> {
         let ciphers = self.cached_ciphers(sdom, GuestState::Sending)?;
-        assert_eq!(len % 16, 0, "io length must be block aligned");
-        assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
+        check_engine_span(machine, src_pa, len)?;
+        check_span(machine, dst_pa, len)?;
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
         ciphers.engine.decrypt_blocks(src_pa.0, &mut buf);
@@ -722,7 +725,9 @@ impl Firmware {
     ///
     /// # Errors
     ///
-    /// Requires a `Receiving`-state helper context.
+    /// Requires a `Receiving`-state helper context. `dst_pa` and `len` are
+    /// checked like [`Firmware::launch_update_data`]'s arguments, and
+    /// `[src_pa, src_pa + len)` must lie inside DRAM.
     pub fn io_decrypt(
         &mut self,
         machine: &mut Machine,
@@ -733,8 +738,8 @@ impl Firmware {
         stream: u64,
     ) -> Result<(), SevError> {
         let ciphers = self.cached_ciphers(rdom, GuestState::Receiving)?;
-        assert_eq!(len % 16, 0, "io length must be block aligned");
-        assert_eq!(dst_pa.0 % 16, 0, "io buffers must be block aligned");
+        check_engine_span(machine, dst_pa, len)?;
+        check_span(machine, src_pa, len)?;
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
         let tek = ciphers.tek.expect("receiving state implies transport keys");
@@ -784,7 +789,9 @@ impl Firmware {
     ///
     /// # Errors
     ///
-    /// Requires a `Sending`-state helper context.
+    /// Requires a `Sending`-state helper context. A `src_pa` that is not
+    /// 16-byte aligned, a run that does not fit in DRAM on either side, or
+    /// overlapping runs are [`SevError::InvalidAddress`].
     pub fn io_encrypt_sectors(
         &mut self,
         machine: &mut Machine,
@@ -796,15 +803,10 @@ impl Firmware {
     ) -> Result<(), SevError> {
         let ciphers = self.cached_ciphers(sdom, GuestState::Sending)?;
         let tek = ciphers.tek.expect("sending state implies transport keys");
-        assert_eq!(src_pa.0 % 16, 0, "io buffers must be block aligned");
         if sectors == 0 {
-            return Ok(());
+            return check_engine_span(machine, src_pa, 0);
         }
-        let len = sectors * SECTOR_SIZE as u64;
-        debug_assert!(
-            src_pa.0 + len <= dst_pa.0 || dst_pa.0 + len <= src_pa.0,
-            "batched io runs must not overlap"
-        );
+        let len = check_sector_runs(machine, src_pa, dst_pa, sectors)?;
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
         ciphers.engine.decrypt_blocks(src_pa.0, &mut buf);
@@ -826,7 +828,9 @@ impl Firmware {
     ///
     /// # Errors
     ///
-    /// Requires a `Receiving`-state helper context.
+    /// Requires a `Receiving`-state helper context; `dst_pa` and the two
+    /// runs are checked like [`Firmware::io_encrypt_sectors`]' `src_pa`
+    /// and runs.
     pub fn io_decrypt_sectors(
         &mut self,
         machine: &mut Machine,
@@ -838,15 +842,10 @@ impl Firmware {
     ) -> Result<(), SevError> {
         let ciphers = self.cached_ciphers(rdom, GuestState::Receiving)?;
         let tek = ciphers.tek.expect("receiving state implies transport keys");
-        assert_eq!(dst_pa.0 % 16, 0, "io buffers must be block aligned");
         if sectors == 0 {
-            return Ok(());
+            return check_engine_span(machine, dst_pa, 0);
         }
-        let len = sectors * SECTOR_SIZE as u64;
-        debug_assert!(
-            src_pa.0 + len <= dst_pa.0 || dst_pa.0 + len <= src_pa.0,
-            "batched io runs must not overlap"
-        );
+        let len = check_sector_runs(machine, dst_pa, src_pa, sectors)?;
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(src_pa, &mut buf).map_err(SevError::Hw)?;
         for (s, sector) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
@@ -862,6 +861,50 @@ impl Firmware {
         );
         Ok(())
     }
+}
+
+/// Checks that the hypervisor-supplied span `[pa, pa + len)` lies inside
+/// DRAM — before the command allocates anything sized by `len`.
+fn check_span(machine: &Machine, pa: Hpa, len: u64) -> Result<(), SevError> {
+    match pa.0.checked_add(len) {
+        Some(end) if end <= machine.mc.dram().size() => Ok(()),
+        _ => Err(SevError::InvalidAddress { pa, len }),
+    }
+}
+
+/// [`check_span`] for the side the memory engine en/decrypts in place,
+/// which works in whole 16-byte blocks at block-aligned addresses.
+fn check_engine_span(machine: &Machine, pa: Hpa, len: u64) -> Result<(), SevError> {
+    if !pa.0.is_multiple_of(16) {
+        return Err(SevError::InvalidAddress { pa, len });
+    }
+    if !len.is_multiple_of(16) {
+        let got = usize::try_from(len).unwrap_or(usize::MAX);
+        return Err(SevError::InvalidLength { got, expected: got - got % 16 });
+    }
+    check_span(machine, pa, len)
+}
+
+/// Validates the two runs of a batched sector command — `engine_pa` (the
+/// block-aligned `Md` side) and `other_pa` (the shared buffer), `sectors`
+/// sectors each, inside DRAM and disjoint — and returns their byte length.
+fn check_sector_runs(
+    machine: &Machine,
+    engine_pa: Hpa,
+    other_pa: Hpa,
+    sectors: u64,
+) -> Result<u64, SevError> {
+    // A byte length that overflows is reported as the widest span.
+    let len = sectors
+        .checked_mul(SECTOR_SIZE as u64)
+        .ok_or(SevError::InvalidAddress { pa: engine_pa, len: u64::MAX })?;
+    check_engine_span(machine, engine_pa, len)?;
+    check_span(machine, other_pa, len)?;
+    // Both spans are inside DRAM, so neither end overflows.
+    if engine_pa.0 < other_pa.0 + len && other_pa.0 < engine_pa.0 + len {
+        return Err(SevError::InvalidAddress { pa: other_pa, len });
+    }
+    Ok(len)
 }
 
 #[cfg(test)]
@@ -1098,6 +1141,122 @@ mod tests {
             mb.cycles.total_f64(),
             "batched path must charge identical modeled cycles"
         );
+    }
+
+    /// A running guest with I/O helpers, for the argument-validation tests.
+    fn io_setup() -> (Machine, Firmware, IoHelpers) {
+        let (mut m, mut fw) = setup();
+        let h = fw.launch_start(GuestPolicy::default()).unwrap();
+        fw.launch_finish(h).unwrap();
+        fw.activate(&mut m, h, Asid(4)).unwrap();
+        let helpers = fw.create_io_helpers(h).unwrap();
+        (m, fw, helpers)
+    }
+
+    /// Hypervisor-supplied launch arguments fail closed with a typed error
+    /// (these used to panic, or abort on a capacity overflow), and a
+    /// rejected command leaves the measurement and DRAM untouched.
+    #[test]
+    fn launch_update_rejects_malformed_spans() {
+        let (mut m, mut fw) = setup();
+        let h = fw.launch_start(GuestPolicy::default()).unwrap();
+        m.mc.dram_mut().write_raw(Hpa(0x4000), b"kernel code here").unwrap();
+        let before = fw.launch_measure(h).unwrap();
+        let dram = m.mc.dram().size();
+        let huge = !15u64;
+        assert_eq!(
+            fw.launch_update_data(&mut m, h, Hpa(0x4008), 16),
+            Err(SevError::InvalidAddress { pa: Hpa(0x4008), len: 16 })
+        );
+        assert_eq!(
+            fw.launch_update_data(&mut m, h, Hpa(0x4000), 24),
+            Err(SevError::InvalidLength { got: 24, expected: 16 })
+        );
+        assert_eq!(
+            fw.launch_update_data(&mut m, h, Hpa(0x4000), huge),
+            Err(SevError::InvalidAddress { pa: Hpa(0x4000), len: huge })
+        );
+        assert_eq!(
+            fw.launch_update_data(&mut m, h, Hpa(dram - 16), 32),
+            Err(SevError::InvalidAddress { pa: Hpa(dram - 16), len: 32 })
+        );
+        assert_eq!(fw.launch_measure(h).unwrap(), before, "rejected update must not measure");
+        let mut raw = [0u8; 16];
+        m.mc.dram().read_raw(Hpa(0x4000), &mut raw).unwrap();
+        assert_eq!(&raw, b"kernel code here", "rejected update must not encrypt");
+        // The last whole block of DRAM is still a valid span.
+        fw.launch_update_data(&mut m, h, Hpa(dram - 16), 16).unwrap();
+    }
+
+    #[test]
+    fn io_commands_reject_malformed_spans() {
+        let (mut m, mut fw, io) = io_setup();
+        let dram = m.mc.dram().size();
+        let huge = !15u64;
+        let (md, shared) = (Hpa(0x6000), Hpa(0x7000));
+        let bad_addr = |pa: Hpa, len: u64| Err(SevError::InvalidAddress { pa, len });
+        // Engine side misaligned, ragged length, huge length, past DRAM.
+        assert_eq!(
+            fw.io_encrypt(&mut m, io.sdom, Hpa(0x6004), shared, 16, 0),
+            bad_addr(Hpa(0x6004), 16)
+        );
+        assert_eq!(
+            fw.io_decrypt(&mut m, io.rdom, shared, Hpa(0x6004), 16, 0),
+            bad_addr(Hpa(0x6004), 16)
+        );
+        for r in [
+            fw.io_encrypt(&mut m, io.sdom, md, shared, 40, 0),
+            fw.io_decrypt(&mut m, io.rdom, shared, md, 40, 0),
+        ] {
+            assert_eq!(r, Err(SevError::InvalidLength { got: 40, expected: 32 }));
+        }
+        assert_eq!(fw.io_encrypt(&mut m, io.sdom, md, shared, huge, 0), bad_addr(md, huge));
+        assert_eq!(fw.io_decrypt(&mut m, io.rdom, shared, md, huge, 0), bad_addr(md, huge));
+        let last = Hpa(dram - 16);
+        assert_eq!(fw.io_encrypt(&mut m, io.sdom, last, shared, 32, 0), bad_addr(last, 32));
+        assert_eq!(fw.io_decrypt(&mut m, io.rdom, shared, last, 32, 0), bad_addr(last, 32));
+        // The other side of the copy is range-checked too.
+        assert_eq!(fw.io_encrypt(&mut m, io.sdom, md, last, 32, 0), bad_addr(last, 32));
+        assert_eq!(fw.io_decrypt(&mut m, io.rdom, last, md, 32, 0), bad_addr(last, 32));
+    }
+
+    #[test]
+    fn io_sector_commands_reject_malformed_runs() {
+        let (mut m, mut fw, io) = io_setup();
+        let dram = m.mc.dram().size();
+        let (md, shared) = (Hpa(0x6000), Hpa(0x10000));
+        let bad_addr = |pa: Hpa, len: u64| Err(SevError::InvalidAddress { pa, len });
+        assert_eq!(
+            fw.io_encrypt_sectors(&mut m, io.sdom, Hpa(0x6001), shared, 1, 0),
+            bad_addr(Hpa(0x6001), 512)
+        );
+        assert_eq!(
+            fw.io_decrypt_sectors(&mut m, io.rdom, shared, Hpa(0x6001), 1, 0),
+            bad_addr(Hpa(0x6001), 512)
+        );
+        // A sector count whose byte length overflows, or merely exceeds DRAM.
+        for sectors in [u64::MAX, u64::MAX / 512, dram / 512 + 1] {
+            let len = sectors.saturating_mul(512);
+            assert_eq!(
+                fw.io_encrypt_sectors(&mut m, io.sdom, md, shared, sectors, 0),
+                bad_addr(md, len)
+            );
+            assert_eq!(
+                fw.io_decrypt_sectors(&mut m, io.rdom, shared, md, sectors, 0),
+                bad_addr(md, len)
+            );
+        }
+        let last = Hpa(dram - 512);
+        assert_eq!(fw.io_encrypt_sectors(&mut m, io.sdom, md, last, 2, 0), bad_addr(last, 1024));
+        assert_eq!(fw.io_decrypt_sectors(&mut m, io.rdom, last, md, 2, 0), bad_addr(last, 1024));
+        // Overlapping runs are refused rather than silently diverging from
+        // the per-sector oracle.
+        let near = Hpa(md.0 + 512);
+        assert_eq!(fw.io_encrypt_sectors(&mut m, io.sdom, md, near, 2, 0), bad_addr(near, 1024));
+        assert_eq!(fw.io_decrypt_sectors(&mut m, io.rdom, near, md, 2, 0), bad_addr(near, 1024));
+        // Zero sectors at a valid address stay a no-op.
+        fw.io_encrypt_sectors(&mut m, io.sdom, md, shared, 0, 0).unwrap();
+        fw.io_decrypt_sectors(&mut m, io.rdom, shared, md, 0, 0).unwrap();
     }
 
     #[test]

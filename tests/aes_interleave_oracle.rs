@@ -25,9 +25,21 @@
 //! is unavailable in this build/host is skipped (and logged), never
 //! silently substituted — forcing one is what `FIDELIUS_AES_BACKEND` and
 //! the CI matrix legs are for.
+//!
+//! The block modes get the same treatment, because on the AES-NI backend
+//! each is one fused kernel over the whole buffer (counters formed in
+//! registers, tweaks computed in vector lanes) rather than a loop around
+//! the block engine. Per backend, against per-block references built from
+//! the GF-math core, hand-built counter blocks and
+//! `PaTweakCipher::tweak_mask`: `Ctr128` at every byte length 0..=1100,
+//! `SectorCipher` runs of 1..=64 sectors, `PaTweakCipher` streams of whole
+//! blocks up to 64 KiB at random base addresses, and the wrap edges — a
+//! block offset or sector number next to `u64::MAX` (the counter wraps in
+//! the low half only) and a base address next to `u64::MAX`.
 
 use fidelius::crypto::aes::{Aes128, AesBackend, KeySchedule};
 use fidelius::crypto::aes_soft::reference::RefAes128;
+use fidelius::crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
 
 /// The backends this host can actually run (always at least two).
 fn available_backends() -> Vec<AesBackend> {
@@ -342,6 +354,190 @@ fn fips197_known_answers_hold_on_every_backend() {
             );
             ks.decrypt_block(&mut block);
             assert_eq!(block, plain, "FIPS-197 inverse failed on `{}`", backend.name());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mode sweep: counter mode and the PA-tweak XEX mode, per host engine.
+// ---------------------------------------------------------------------------
+
+/// Reference counter mode: one hand-built `nonce_be ‖ (offset + i)_be`
+/// block per 16-byte chunk (the counter wrapping in the low half), each
+/// encrypted by the GF-math core and XORed over the chunk's bytes.
+fn reference_ctr(aes: &RefAes128, nonce: u64, offset: u64, data: &mut [u8]) {
+    for (i, chunk) in data.chunks_mut(16).enumerate() {
+        let mut ks = [0u8; 16];
+        ks[..8].copy_from_slice(&nonce.to_be_bytes());
+        ks[8..].copy_from_slice(&offset.wrapping_add(i as u64).to_be_bytes());
+        aes.encrypt_block(&mut ks);
+        for (d, k) in chunk.iter_mut().zip(ks.iter()) {
+            *d ^= *k;
+        }
+    }
+}
+
+/// Reference PA-tweak encryption: each block XORed with the public tweak
+/// mask of its own address before and after the GF-math core.
+fn reference_pa_tweak(aes: &RefAes128, base_pa: u64, data: &mut [u8]) {
+    for (i, chunk) in data.chunks_exact_mut(16).enumerate() {
+        let mask = PaTweakCipher::tweak_mask(base_pa.wrapping_add(16 * i as u64));
+        let block: &mut [u8; 16] = chunk.try_into().unwrap();
+        for (b, m) in block.iter_mut().zip(mask.iter()) {
+            *b ^= *m;
+        }
+        aes.encrypt_block(block);
+        for (b, m) in block.iter_mut().zip(mask.iter()) {
+            *b ^= *m;
+        }
+    }
+}
+
+/// One cipher per available backend, all under `key`.
+fn ciphers_for(key: &[u8; 16]) -> Vec<(AesBackend, Aes128)> {
+    available_backends().into_iter().map(|b| (b, Aes128::with_backend(key, b).unwrap())).collect()
+}
+
+#[test]
+fn every_backend_ctr128_matches_reference_at_every_byte_length() {
+    let mut rng = Rng::new(0xC7_0128);
+    let key = rng.key();
+    let ciphers = ciphers_for(&key);
+    let slow = RefAes128::new(&key);
+    let mut plain = vec![0u8; 1100];
+    rng.fill(&mut plain);
+    for len in 0usize..=1100 {
+        let (nonce, offset) = (rng.next(), rng.next());
+        let mut want = plain[..len].to_vec();
+        reference_ctr(&slow, nonce, offset, &mut want);
+        for (backend, cipher) in &ciphers {
+            let mut got = plain[..len].to_vec();
+            Ctr128::apply_with(cipher, nonce, offset, &mut got);
+            assert_eq!(got, want, "Ctr128 on `{}` at {len} bytes", backend.name());
+        }
+    }
+    // The owning context is the same keystream.
+    for (backend, cipher) in &ciphers {
+        let ctr = Ctr128::from_cipher(cipher.clone(), 0xFEED);
+        let mut got = plain.clone();
+        ctr.apply(7, &mut got);
+        let mut want = plain.clone();
+        reference_ctr(&slow, 0xFEED, 7, &mut want);
+        assert_eq!(got, want, "Ctr128::apply on `{}`", backend.name());
+    }
+}
+
+#[test]
+fn every_backend_sector_runs_match_reference() {
+    let mut rng = Rng::new(0x5EC7_0125);
+    let key = rng.key();
+    let ciphers = ciphers_for(&key);
+    let slow = RefAes128::new(&key);
+    for sectors in 1usize..=64 {
+        let first = rng.next();
+        let mut plain = vec![0u8; sectors * SECTOR_SIZE];
+        rng.fill(&mut plain);
+        let mut want = plain.clone();
+        for (s, sector) in want.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            reference_ctr(&slow, first.wrapping_add(s as u64), 0, sector);
+        }
+        for (backend, cipher) in &ciphers {
+            let sc = SectorCipher::from_cipher(cipher.clone());
+            let mut got = plain.clone();
+            sc.encrypt_sectors(first, &mut got);
+            assert_eq!(got, want, "SectorCipher on `{}` at {sectors} sectors", backend.name());
+            sc.decrypt_sectors(first, &mut got);
+            assert_eq!(got, plain, "SectorCipher round trip on `{}`", backend.name());
+        }
+    }
+}
+
+#[test]
+fn every_backend_pa_tweak_stream_matches_reference_up_to_64k() {
+    let mut rng = Rng::new(0x7A_7EA4);
+    let key = rng.key();
+    let ciphers = ciphers_for(&key);
+    let slow = RefAes128::new(&key);
+    let wide = [63usize, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 1000, 2047, 2048, 4096];
+    for blocks in (0usize..=40).chain(wide) {
+        let base_pa = rng.next();
+        let mut plain = vec![0u8; 16 * blocks];
+        rng.fill(&mut plain);
+        let mut want = plain.clone();
+        reference_pa_tweak(&slow, base_pa, &mut want);
+        for (backend, cipher) in &ciphers {
+            let engine = PaTweakCipher::from_cipher(cipher.clone());
+            let mut got = plain.clone();
+            engine.encrypt_blocks(base_pa, &mut got);
+            assert_eq!(
+                got,
+                want,
+                "PaTweakCipher on `{}` at {blocks} blocks from {base_pa:#x}",
+                backend.name()
+            );
+            engine.decrypt_blocks(base_pa, &mut got);
+            assert_eq!(got, plain, "PaTweakCipher round trip on `{}`", backend.name());
+        }
+    }
+}
+
+/// The 64-bit counter wraps within the low half of the counter block
+/// (the nonce or sector half never carries), and the tweak address wraps
+/// at `u64::MAX` — on every backend, mid-run and across run boundaries.
+#[test]
+fn every_backend_handles_counter_and_address_wrap() {
+    let mut rng = Rng::new(0x0FF_FFFF);
+    let key = rng.key();
+    let ciphers = ciphers_for(&key);
+    let slow = RefAes128::new(&key);
+    let mut plain = vec![0u8; 16 * 80 + 9];
+    rng.fill(&mut plain);
+    for back in 0u64..=40 {
+        let offset = u64::MAX - back;
+        let nonce = rng.next();
+        for len in [1usize, 16, 17, 100, 128, 129, 256, 300, 513, plain.len()] {
+            let mut want = plain[..len].to_vec();
+            reference_ctr(&slow, nonce, offset, &mut want);
+            for (backend, cipher) in &ciphers {
+                let mut got = plain[..len].to_vec();
+                Ctr128::apply_with(cipher, nonce, offset, &mut got);
+                assert_eq!(
+                    got,
+                    want,
+                    "Ctr128 wrap on `{}`: offset {offset:#x}, {len} bytes",
+                    backend.name()
+                );
+            }
+        }
+    }
+    let run = &plain[..2 * SECTOR_SIZE];
+    for first in [u64::MAX - 1, u64::MAX] {
+        let mut want = run.to_vec();
+        for (s, sector) in want.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            reference_ctr(&slow, first.wrapping_add(s as u64), 0, sector);
+        }
+        for (backend, cipher) in &ciphers {
+            let mut got = run.to_vec();
+            SectorCipher::from_cipher(cipher.clone()).encrypt_sectors(first, &mut got);
+            assert_eq!(got, want, "SectorCipher wrap on `{}` from {first:#x}", backend.name());
+        }
+    }
+    for back in 1u64..=40 {
+        let base_pa = 0u64.wrapping_sub(16 * back) + (back & 3);
+        for blocks in [1usize, 8, 16, 17, 32, 33, 80] {
+            let mut want = plain[..16 * blocks].to_vec();
+            reference_pa_tweak(&slow, base_pa, &mut want);
+            for (backend, cipher) in &ciphers {
+                let engine = PaTweakCipher::from_cipher(cipher.clone());
+                let mut got = plain[..16 * blocks].to_vec();
+                engine.encrypt_blocks(base_pa, &mut got);
+                assert_eq!(
+                    got,
+                    want,
+                    "PaTweakCipher wrap on `{}` from {base_pa:#x}, {blocks} blocks",
+                    backend.name()
+                );
+            }
         }
     }
 }
