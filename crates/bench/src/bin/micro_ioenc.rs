@@ -1,11 +1,8 @@
 //! Micro-benchmark 3: 512 MB memory copy under three I/O encryption
 //! approaches (paper §7.2: AES-NI +11.49%, SEV/SME engine +8.69%,
-//! software-emulated >20x).
+//! software-emulated >20x), all three from the modeled per-line costs.
 
-use fidelius_crypto::aes::Aes128;
-use fidelius_crypto::aes_soft::SoftAes128;
 use fidelius_hw::cycles::CostModel;
-use std::time::Instant;
 
 fn main() {
     let m = CostModel::default();
@@ -39,32 +36,5 @@ fn main() {
                 ">20x".into(),
             ],
         ],
-    );
-
-    // Wall-clock sanity check with the real cipher implementations
-    // (scaled to 4 MB so the software path finishes politely).
-    let mb = 4;
-    let mut buf = vec![0xA5u8; mb * 1024 * 1024];
-    let fast = Aes128::new(&[7; 16]);
-    let t = Instant::now();
-    for chunk in buf.chunks_exact_mut(16) {
-        let mut b: [u8; 16] = chunk.try_into().unwrap();
-        fast.encrypt_block(&mut b);
-        chunk.copy_from_slice(&b);
-    }
-    let fast_t = t.elapsed();
-    let slow = SoftAes128::new(&[7; 16]);
-    let t = Instant::now();
-    for chunk in buf.chunks_exact_mut(16) {
-        let mut b: [u8; 16] = chunk.try_into().unwrap();
-        slow.encrypt_block(&mut b);
-        chunk.copy_from_slice(&b);
-    }
-    let slow_t = t.elapsed();
-    fidelius_bench::note!(
-        "\n  wall-clock cross-check on {mb} MB: table AES {:?}, software AES {:?} ({:.1}x slower)",
-        fast_t,
-        slow_t,
-        slow_t.as_secs_f64() / fast_t.as_secs_f64()
     );
 }

@@ -98,7 +98,6 @@ fn micro_memstream_json_round_trips() {
         "pa_tweak_stream",
         "ctr128",
         "sector_cipher",
-        "soft_aes_ctr",
         "soft_aes_interleaved",
         "soft_aes_bitsliced",
     ];
@@ -120,7 +119,7 @@ fn micro_memstream_json_round_trips() {
     }
     // Cipher-backed scenarios record which AES engine produced them so
     // bench_guard can key its floors on the backend.
-    for cipher_bench in ["soft_aes_ctr", "soft_aes_interleaved", "soft_aes_bitsliced"] {
+    for cipher_bench in ["ctr128", "soft_aes_interleaved", "soft_aes_bitsliced"] {
         let line = lines
             .iter()
             .find(|j| j.get("bench").and_then(Json::as_str) == Some(cipher_bench))

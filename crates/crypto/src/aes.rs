@@ -20,7 +20,8 @@
 //! encryption is charged by `fidelius-hw::cycles` and is unaffected by any
 //! of this — these tables only buy host throughput.
 //!
-//! The deliberately naive sibling lives in [`crate::aes_soft`].
+//! The GF-math oracle every backend is tested against lives in
+//! [`crate::aes_ref`].
 
 /// The AES S-box, computed at compile time from the GF(2⁸) inverse plus the
 /// FIPS-197 affine transform.
@@ -278,7 +279,7 @@ fn inv_mix_columns_bytes(state: &mut [u8; 16]) {
 /// The backend is chosen **once at schedule construction** and dispatched
 /// by a plain enum match at each batched entry point — zero per-block
 /// overhead, no function pointers to defeat inlining. Every backend is
-/// pinned bit-identical to the `aes_soft::reference` GF-math oracle, so
+/// pinned bit-identical to the `aes_ref::reference` GF-math oracle, so
 /// which one runs is invisible to everything downstream: ciphertext bytes,
 /// artifacts and the *modeled* cycle costs (charged by `fidelius-hw::cycles`)
 /// are all unchanged. Selection only moves host wall clock.
@@ -746,7 +747,7 @@ impl KeySchedule {
     ///
     /// On [`AesBackend::AesNi`] the whole buffer is one fused kernel call
     /// (round keys loaded once, counters formed in registers); the other
-    /// backends run [`KeySchedule::xor_keystream`]. Every backend produces
+    /// backends run the portable `xor_keystream` loop. Every backend produces
     /// the same bytes.
     pub fn ctr_xor(&self, prefix: u64, first: u64, data: &mut [u8]) {
         #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
@@ -829,10 +830,8 @@ impl KeySchedule {
 
     /// XORs `data` with the keystream obtained by encrypting
     /// `counter_block(i)` for each 16-byte chunk `i` (the final chunk may be
-    /// short) — counter mode for any counter-block layout, such as the
-    /// 128-bit counters of the DRBG and the software-AES baseline. Layouts
-    /// of the form `prefix ‖ counter64` go through
-    /// [`KeySchedule::ctr_xor`] instead.
+    /// short) — the portable counter-mode loop behind
+    /// [`KeySchedule::ctr_xor`] on the backends without a fused kernel.
     ///
     /// The keystream is generated [`INTERLEAVE`] counter blocks at a time
     /// into a stack scratch and encrypted through the schedule's backend
@@ -840,7 +839,11 @@ impl KeySchedule {
     /// block tails use the single-block path and the final short chunk XORs
     /// from one stack keystream block sliced to `chunk.len()` — no per-byte
     /// length branching.
-    pub fn xor_keystream(&self, mut counter_block: impl FnMut(u64) -> [u8; 16], data: &mut [u8]) {
+    pub(crate) fn xor_keystream(
+        &self,
+        mut counter_block: impl FnMut(u64) -> [u8; 16],
+        data: &mut [u8],
+    ) {
         let mut idx = 0u64;
         let mut scratch = [0u8; INTERLEAVE_BYTES];
         let mut wide = data.chunks_exact_mut(INTERLEAVE_BYTES);

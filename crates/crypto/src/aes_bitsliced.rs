@@ -510,7 +510,7 @@ mod tests {
         // RED[m] must equal x^(8+m) and SQ[i] must equal x^(2i), both
         // reduced mod 0x11B — recompute with the independent GF multiply
         // from the reference oracle.
-        use crate::aes_soft::reference::gf_mul;
+        use crate::aes_ref::reference::gf_mul;
         let mut pow = 1u8;
         let mut powers = [0u8; 16];
         for p in powers.iter_mut() {
@@ -530,7 +530,7 @@ mod tests {
     /// two batches.
     #[test]
     fn bitsliced_inverse_matches_reference_for_all_bytes() {
-        use crate::aes_soft::reference::gf_inv;
+        use crate::aes_ref::reference::gf_inv;
         for half in 0..2u16 {
             let data = batch_from_fn(|i| (half * 128 + i as u16) as u8);
             let planes = pack(&data);
@@ -548,7 +548,7 @@ mod tests {
     /// reference per-byte S-box, and its inverse back.
     #[test]
     fn bitsliced_sbox_matches_reference_for_all_bytes() {
-        use crate::aes_soft::reference::{inv_sub_byte, sub_byte};
+        use crate::aes_ref::reference::{inv_sub_byte, sub_byte};
         for half in 0..2u16 {
             let data = batch_from_fn(|i| (half * 128 + i as u16) as u8);
             let forward = sub_bytes(&pack(&data));
@@ -597,7 +597,7 @@ mod tests {
         assert_eq!(back, data, "inv_shift_rows must undo shift_rows");
 
         // MixColumns, against the 2,3,1,1 GF row evaluated per byte.
-        use crate::aes_soft::reference::gf_mul;
+        use crate::aes_ref::reference::gf_mul;
         let mixed = mix_columns(&pack(&data));
         let mut got = [0u8; BATCH_BYTES];
         unpack(mixed, &mut got);
@@ -621,7 +621,7 @@ mod tests {
 
     #[test]
     fn bitsliced_cipher_matches_reference_all_key_sizes() {
-        use crate::aes_soft::reference::RefAes128;
+        use crate::aes_ref::reference::RefAes128;
         let key128 = [0x3Cu8; 16];
         let ks =
             crate::aes::KeySchedule::with_backend(&key128, crate::aes::AesBackend::TTable).unwrap();

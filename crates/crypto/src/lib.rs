@@ -9,9 +9,10 @@
 //!   modelling the *AES-NI* fast path the paper uses for guest-side disk
 //!   encryption. All backends are bit-identical; see
 //!   [`aes::AesBackend`] and `FIDELIUS_AES_BACKEND`.
-//! - [`aes_soft`] — a deliberately slow, bit-level AES used to reproduce the
-//!   paper's "software emulated encryption" baseline (>20× slower than
-//!   AES-NI in the paper's micro-benchmark 3).
+//! - [`aes_ref`] — a deliberately slow GF(2⁸)-math AES-128, the oracle
+//!   every host backend and block mode is tested against. (The paper's
+//!   "software emulated encryption" baseline, >20× in micro-benchmark 3,
+//!   is a modeled cost in `fidelius-hw`, not a host engine.)
 //! - [`modes`] — CTR, CBC, a tweaked sector mode for disk images, and the
 //!   physical-address-tweaked block mode used by the simulated SME/SEV
 //!   memory-encryption engine.
@@ -24,7 +25,7 @@
 //! - [`keywrap`] — AES key wrap for the transport keys (`Kwrap` = wrapped
 //!   `Ktek`/`Ktik` in the paper's §4.3.2).
 //! - [`rng`] — seedable SplitMix64/Xoshiro256** generators; the whole
-//!   simulation is reproducible from a seed.
+//!   simulation, and every seeded test, is reproducible from a seed.
 //!
 //! # Example
 //!
@@ -54,7 +55,7 @@ pub mod aes;
 mod aes_bitsliced;
 #[cfg(all(feature = "aesni", target_arch = "x86_64"))]
 mod aes_ni;
-pub mod aes_soft;
+pub mod aes_ref;
 pub mod error;
 pub mod hmac;
 pub mod keywrap;

@@ -3,12 +3,8 @@
 //! The entire simulation must replay identically from a seed (workload
 //! generation, key generation in the simulated firmware, attack fuzzing),
 //! so we use small, well-known generators instead of OS entropy:
-//! SplitMix64 for seeding and Xoshiro256** for streams. For
-//! cryptographic-quality derivation inside the simulated firmware there is
-//! also [`CtrDrbg`], an AES-CTR generator whose block cipher runs through
-//! the batched [`crate::aes::KeySchedule`] entry points — it therefore
-//! inherits whichever [`crate::aes::AesBackend`] the schedule was built
-//! with, fast path and constant-time path alike.
+//! SplitMix64 for seeding and Xoshiro256** for streams. The seeded
+//! property tests draw their inputs from [`Xoshiro256`] too.
 
 /// SplitMix64 — used to expand one `u64` seed into larger states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,75 +100,6 @@ impl Xoshiro256 {
     }
 }
 
-/// A deterministic AES-128-CTR generator in the shape of SP 800-90A's
-/// CTR_DRBG (no derivation function, explicit [`CtrDrbg::reseed`] instead
-/// of per-call rekeying — this is a simulation substrate, not a certified
-/// DRBG; determinism from the seed is the requirement).
-///
-/// `generate` produces the keystream through
-/// [`crate::aes::KeySchedule::xor_keystream`] — the batched entry point —
-/// rather than a per-block `encrypt_block` loop, so output is filled eight
-/// blocks per pass on whichever host backend the schedule selected. The
-/// unit tests pin the batched output bit-identical to the naive per-block
-/// loop.
-#[derive(Debug, Clone)]
-pub struct CtrDrbg {
-    cipher: crate::aes::KeySchedule,
-    /// The 128-bit counter `V`, advanced once per generated block.
-    counter: u128,
-}
-
-impl CtrDrbg {
-    /// Seeds from 32 bytes: the first 16 become the AES key, the last 16
-    /// the initial counter. Uses the process default backend.
-    pub fn new(seed: &[u8; 32]) -> Self {
-        Self::with_backend(seed, crate::aes::default_backend())
-            .expect("default backend is always available")
-    }
-
-    /// Seeds like [`CtrDrbg::new`] but pins the AES backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CryptoError::BackendUnavailable`] if `backend`
-    /// cannot run in this build on this host.
-    pub fn with_backend(
-        seed: &[u8; 32],
-        backend: crate::aes::AesBackend,
-    ) -> Result<Self, crate::CryptoError> {
-        let cipher = crate::aes::KeySchedule::with_backend(&seed[..16], backend)?;
-        let counter = u128::from_be_bytes(seed[16..].try_into().expect("16 bytes"));
-        Ok(CtrDrbg { cipher, counter })
-    }
-
-    /// Fills `out` with keystream and advances the counter by the number
-    /// of blocks consumed (the final partial block still consumes a whole
-    /// counter value, as in CTR mode).
-    pub fn generate(&mut self, out: &mut [u8]) {
-        out.fill(0);
-        let base = self.counter;
-        self.cipher
-            .xor_keystream(|i| base.wrapping_add(1).wrapping_add(u128::from(i)).to_be_bytes(), out);
-        let blocks = out.len().div_ceil(16) as u128;
-        self.counter = base.wrapping_add(blocks);
-    }
-
-    /// Mixes 32 bytes of fresh entropy into the key and counter. This is
-    /// the only operation that re-expands the key schedule (the backend
-    /// pinning is preserved).
-    pub fn reseed(&mut self, entropy: &[u8; 32]) {
-        let mut key_v = [0u8; 32];
-        self.generate(&mut key_v);
-        for (k, e) in key_v.iter_mut().zip(entropy.iter()) {
-            *k ^= *e;
-        }
-        let backend = self.cipher.backend();
-        self.cipher = crate::aes::KeySchedule::with_backend(&key_v[..16], backend)
-            .expect("backend was available at construction");
-        self.counter = u128::from_be_bytes(key_v[16..].try_into().expect("16 bytes"));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,77 +161,5 @@ mod tests {
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    /// The batched generate must produce exactly what the naive per-block
-    /// `encrypt_block` loop would — this is the oracle that lets the DRBG
-    /// ride the backend dispatch without changing output.
-    #[test]
-    fn drbg_batched_generate_matches_per_block_loop() {
-        let seed: [u8; 32] = std::array::from_fn(|i| (i as u8).wrapping_mul(41).wrapping_add(3));
-        for len in [1usize, 15, 16, 17, 100, 128, 137, 16 * 33] {
-            let mut drbg = CtrDrbg::new(&seed);
-            let mut batched = vec![0xEEu8; len];
-            drbg.generate(&mut batched);
-
-            // Naive CTR: encrypt V+1, V+2, ... one block at a time.
-            let cipher = crate::aes::KeySchedule::new(&seed[..16]).unwrap();
-            let v = u128::from_be_bytes(seed[16..].try_into().unwrap());
-            let mut manual = vec![0u8; len];
-            for (i, chunk) in manual.chunks_mut(16).enumerate() {
-                let mut block = v.wrapping_add(1).wrapping_add(i as u128).to_be_bytes();
-                cipher.encrypt_block(&mut block);
-                chunk.copy_from_slice(&block[..chunk.len()]);
-            }
-            assert_eq!(batched, manual, "generate diverged at len {len}");
-        }
-    }
-
-    #[test]
-    fn drbg_is_deterministic_and_advances() {
-        let seed = [0x42u8; 32];
-        let mut a = CtrDrbg::new(&seed);
-        let mut b = CtrDrbg::new(&seed);
-        let mut out_a = [0u8; 48];
-        let mut out_b = [0u8; 48];
-        a.generate(&mut out_a);
-        b.generate(&mut out_b);
-        assert_eq!(out_a, out_b, "same seed must replay identically");
-        let first = out_a;
-        a.generate(&mut out_a);
-        assert_ne!(out_a, first, "stream must advance between calls");
-    }
-
-    #[test]
-    fn drbg_identical_across_available_backends() {
-        let seed: [u8; 32] = std::array::from_fn(|i| (i as u8).wrapping_mul(7));
-        let mut reference = CtrDrbg::with_backend(&seed, crate::aes::AesBackend::TTable).unwrap();
-        let mut want = vec![0u8; 200];
-        reference.generate(&mut want);
-        for backend in crate::aes::AesBackend::ALL.into_iter().filter(|b| b.available()) {
-            let mut drbg = CtrDrbg::with_backend(&seed, backend).unwrap();
-            let mut got = vec![0u8; 200];
-            drbg.generate(&mut got);
-            assert_eq!(got, want, "DRBG output diverged on {}", backend.name());
-        }
-    }
-
-    #[test]
-    fn drbg_reseed_changes_stream_but_stays_deterministic() {
-        let seed = [0x10u8; 32];
-        let mut a = CtrDrbg::new(&seed);
-        let mut b = CtrDrbg::new(&seed);
-        let mut fresh = [0u8; 48];
-        a.generate(&mut fresh);
-        let pre_reseed = fresh;
-        a.reseed(&[0x77u8; 32]);
-        b.generate(&mut fresh);
-        b.reseed(&[0x77u8; 32]);
-        let mut out_a = [0u8; 48];
-        let mut out_b = [0u8; 48];
-        a.generate(&mut out_a);
-        b.generate(&mut out_b);
-        assert_eq!(out_a, out_b, "reseed must stay deterministic");
-        assert_ne!(out_a[..], pre_reseed[..], "reseed must change the stream");
     }
 }

@@ -865,7 +865,7 @@ impl Firmware {
 
 /// Checks that the hypervisor-supplied span `[pa, pa + len)` lies inside
 /// DRAM — before the command allocates anything sized by `len`.
-fn check_span(machine: &Machine, pa: Hpa, len: u64) -> Result<(), SevError> {
+pub(crate) fn check_span(machine: &Machine, pa: Hpa, len: u64) -> Result<(), SevError> {
     match pa.0.checked_add(len) {
         Some(end) if end <= machine.mc.dram().size() => Ok(()),
         _ => Err(SevError::InvalidAddress { pa, len }),

@@ -13,7 +13,7 @@
 //! a first-class firmware object with direct ENC/DEC commands.
 
 use crate::error::SevError;
-use crate::firmware::{Firmware, GuestState, Handle};
+use crate::firmware::{check_span, Firmware, GuestState, Handle};
 use fidelius_crypto::modes::Ctr128;
 use fidelius_crypto::rng::Xoshiro256;
 use fidelius_crypto::Key128;
@@ -83,7 +83,9 @@ impl GekEngine {
     ///
     /// # Errors
     ///
-    /// Unknown handles, wrong guest binding, bad physical ranges.
+    /// A span that leaves DRAM (or overflows) is
+    /// [`SevError::InvalidAddress`], refused before anything is allocated;
+    /// unknown handles and wrong guest bindings are refused too.
     pub fn enc(
         &self,
         machine: &mut Machine,
@@ -93,6 +95,7 @@ impl GekEngine {
         len: u64,
         stream: u64,
     ) -> Result<(), SevError> {
+        check_span(machine, pa, len)?;
         let key = self.key_for(gek, guest)?;
         let mut buf = vec![0u8; len as usize];
         machine.mc.dram().read_raw(pa, &mut buf).map_err(SevError::Hw)?;
@@ -214,6 +217,27 @@ mod tests {
         assert!(!eng.drop_gek(gek));
         assert!(eng.is_empty());
         assert!(eng.enc(&mut m, guest, gek, Hpa(0), 16, 0).is_err());
+    }
+
+    /// Hostile spans fail closed before the `len`-sized buffer exists: a
+    /// huge length, a start past DRAM and a wrapping end are each a typed
+    /// error, not an allocation failure or a panic.
+    #[test]
+    fn malformed_spans_are_refused_before_allocating() {
+        let (mut m, fw, mut eng, guest) = setup();
+        let gek = eng.setenc_gek(&fw, guest).unwrap();
+        let dram = m.mc.dram().size();
+        for (pa, len) in [(0, u64::MAX), (dram, 16), (u64::MAX - 7, 16)] {
+            for result in [
+                eng.enc(&mut m, guest, gek, Hpa(pa), len, 0),
+                eng.dec(&mut m, guest, gek, Hpa(pa), len, 0),
+            ] {
+                assert!(
+                    matches!(result, Err(SevError::InvalidAddress { pa: p, len: l }) if p == Hpa(pa) && l == len),
+                    "span {pa:#x}+{len:#x}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Historically the audit log carried `&'static str` reasons and classified
 //! them with substring heuristics; here each denial is a variant, the legacy
 //! string is derived from it (`as_str`, also its `Display`), and the
-//! classification is a total function (`kind`). `fidelius-core`'s
-//! `classify()` survives only as a deprecated shim.
+//! classification is a total function (`kind`). The old heuristic survives
+//! only as the test oracle `kind()` is pinned against.
 
 use std::fmt;
 

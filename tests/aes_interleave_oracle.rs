@@ -1,6 +1,6 @@
 //! Differential proptest for the interleaved 8-block AES engine: the
 //! wide path must be *bit-identical* to the retained per-byte GF-math
-//! reference (`aes_soft::reference::RefAes128`) for every width, not
+//! reference (`aes_ref::reference::RefAes128`) for every width, not
 //! just the widths that divide evenly by the interleave factor. The
 //! interleaving is a simulator-speed optimization; it is never allowed
 //! to change a single output byte.
@@ -9,12 +9,13 @@
 //! pure tail (1..7 blocks, no wide chunk), exactly one wide chunk (8),
 //! wide chunk + every tail length (9..15), multiple wide chunks with
 //! and without tails (16, 17, 24, 31, 32), and one past four chunks
-//! (33). The keystream sweep additionally runs every ragged byte tail
-//! 0..=15 so the final-short-chunk path is hit at each offset.
+//! (33). The counter-mode sweep (`KeySchedule::ctr_xor`) additionally
+//! runs every ragged byte tail 0..=15 so the final-short-chunk path is
+//! hit at each offset.
 //!
-//! A seeded xorshift generator stands in for a property-testing
-//! framework: every case is reproducible from the fixed seeds, with no
-//! external dependencies.
+//! The crate's seeded Xoshiro256** generator stands in for a
+//! property-testing framework: every case is reproducible from the fixed
+//! seeds, with no external dependencies.
 //!
 //! Since the backend-dispatch layer landed, the same discipline covers
 //! every host engine: each available [`AesBackend`] (T-table, bitsliced,
@@ -38,8 +39,9 @@
 //! the low half only) and a base address next to `u64::MAX`.
 
 use fidelius::crypto::aes::{Aes128, AesBackend, KeySchedule};
-use fidelius::crypto::aes_soft::reference::RefAes128;
+use fidelius::crypto::aes_ref::reference::RefAes128;
 use fidelius::crypto::modes::{Ctr128, PaTweakCipher, SectorCipher, SECTOR_SIZE};
+use fidelius::crypto::rng::Xoshiro256;
 
 /// The backends this host can actually run (always at least two).
 fn available_backends() -> Vec<AesBackend> {
@@ -51,33 +53,6 @@ fn available_backends() -> Vec<AesBackend> {
     }
     assert!(backends.len() >= 2, "ttable and bitsliced must always be available");
     backends
-}
-
-/// xorshift64* — deterministic pseudo-random stream for test inputs.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn fill(&mut self, buf: &mut [u8]) {
-        for b in buf.iter_mut() {
-            *b = self.next() as u8;
-        }
-    }
-    fn key(&mut self) -> [u8; 16] {
-        let mut k = [0u8; 16];
-        self.fill(&mut k);
-        k
-    }
 }
 
 /// Encrypts each whole 16-byte block of `data` with the reference core.
@@ -96,15 +71,30 @@ fn reference_decrypt_blocks(aes: &RefAes128, data: &mut [u8]) {
     }
 }
 
+/// Reference counter mode: one hand-built `nonce_be ‖ (offset + i)_be`
+/// block per 16-byte chunk (the counter wrapping in the low half), each
+/// encrypted by the GF-math core and XORed over the chunk's bytes.
+fn reference_ctr(aes: &RefAes128, nonce: u64, offset: u64, data: &mut [u8]) {
+    for (i, chunk) in data.chunks_mut(16).enumerate() {
+        let mut ks = [0u8; 16];
+        ks[..8].copy_from_slice(&nonce.to_be_bytes());
+        ks[8..].copy_from_slice(&offset.wrapping_add(i as u64).to_be_bytes());
+        aes.encrypt_block(&mut ks);
+        for (d, k) in chunk.iter_mut().zip(ks.iter()) {
+            *d ^= *k;
+        }
+    }
+}
+
 #[test]
 fn interleaved_encrypt_matches_reference_for_every_width() {
-    let mut rng = Rng::new(0xA15E_D0E1);
+    let mut rng = Xoshiro256::new(0xA15E_D0E1);
     for blocks in 1usize..=33 {
-        let key = rng.key();
+        let key = rng.next_key128();
         let fast = Aes128::new(&key);
         let slow = RefAes128::new(&key);
         let mut data = vec![0u8; blocks * 16];
-        rng.fill(&mut data);
+        rng.fill_bytes(&mut data);
         let mut expect = data.clone();
 
         fast.encrypt_blocks(&mut data);
@@ -115,13 +105,13 @@ fn interleaved_encrypt_matches_reference_for_every_width() {
 
 #[test]
 fn interleaved_decrypt_matches_reference_for_every_width() {
-    let mut rng = Rng::new(0xA15E_D0DE);
+    let mut rng = Xoshiro256::new(0xA15E_D0DE);
     for blocks in 1usize..=33 {
-        let key = rng.key();
+        let key = rng.next_key128();
         let fast = Aes128::new(&key);
         let slow = RefAes128::new(&key);
         let mut data = vec![0u8; blocks * 16];
-        rng.fill(&mut data);
+        rng.fill_bytes(&mut data);
         let mut expect = data.clone();
 
         fast.decrypt_blocks(&mut data);
@@ -132,12 +122,12 @@ fn interleaved_decrypt_matches_reference_for_every_width() {
 
 #[test]
 fn interleaved_encrypt_then_decrypt_round_trips_every_width() {
-    let mut rng = Rng::new(0x00A1_5E0D_0B1E);
+    let mut rng = Xoshiro256::new(0x00A1_5E0D_0B1E);
     for blocks in 1usize..=33 {
-        let key = rng.key();
+        let key = rng.next_key128();
         let fast = Aes128::new(&key);
         let mut data = vec![0u8; blocks * 16];
-        rng.fill(&mut data);
+        rng.fill_bytes(&mut data);
         let original = data.clone();
 
         fast.encrypt_blocks(&mut data);
@@ -147,42 +137,22 @@ fn interleaved_encrypt_then_decrypt_round_trips_every_width() {
     }
 }
 
-/// The counter-block construction used by the keystream sweep: a
-/// recognizable, index-dependent block so neighbouring counters never
-/// collide and lane mixups would show immediately.
-fn counter(seed: u64, i: u64) -> [u8; 16] {
-    let mut block = [0u8; 16];
-    block[..8].copy_from_slice(&seed.to_le_bytes());
-    block[8..].copy_from_slice(&i.to_le_bytes());
-    block
-}
-
 #[test]
 fn interleaved_keystream_matches_reference_at_every_ragged_length() {
-    let mut rng = Rng::new(0xA15E_CB57);
+    let mut rng = Xoshiro256::new(0xA15E_CB57);
     for blocks in 0usize..=33 {
         for tail in [0usize, 1, 7, 15] {
             let len = blocks * 16 + tail;
-            let key = rng.key();
-            let seed = rng.next();
+            let key = rng.next_key128();
+            let (prefix, first) = (rng.next_u64(), rng.next_u64());
             let fast = Aes128::new(&key);
             let slow = RefAes128::new(&key);
             let mut data = vec![0u8; len];
-            rng.fill(&mut data);
+            rng.fill_bytes(&mut data);
             let mut expect = data.clone();
 
-            fast.schedule().xor_keystream(|i| counter(seed, i), &mut data);
-
-            // Reference: one counter block per 16-byte chunk, encrypted
-            // with the GF-math core, XORed over however many bytes the
-            // chunk actually has.
-            for (i, chunk) in expect.chunks_mut(16).enumerate() {
-                let mut ks = counter(seed, i as u64);
-                slow.encrypt_block(&mut ks);
-                for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-                    *d ^= *k;
-                }
-            }
+            fast.schedule().ctr_xor(prefix, first, &mut data);
+            reference_ctr(&slow, prefix, first, &mut expect);
             assert_eq!(data, expect, "keystream mismatch at {blocks} blocks + {tail} bytes");
         }
     }
@@ -190,17 +160,17 @@ fn interleaved_keystream_matches_reference_at_every_ragged_length() {
 
 #[test]
 fn keystream_applied_twice_is_identity_across_ragged_lengths() {
-    let mut rng = Rng::new(0x00A1_5E2C);
+    let mut rng = Xoshiro256::new(0x00A1_5E2C);
     for len in [0usize, 1, 15, 16, 17, 127, 128, 129, 257, 529] {
-        let key = rng.key();
-        let seed = rng.next();
+        let key = rng.next_key128();
+        let (prefix, first) = (rng.next_u64(), rng.next_u64());
         let fast = Aes128::new(&key);
         let mut data = vec![0u8; len];
-        rng.fill(&mut data);
+        rng.fill_bytes(&mut data);
         let original = data.clone();
 
-        fast.schedule().xor_keystream(|i| counter(seed, i), &mut data);
-        fast.schedule().xor_keystream(|i| counter(seed, i), &mut data);
+        fast.schedule().ctr_xor(prefix, first, &mut data);
+        fast.schedule().ctr_xor(prefix, first, &mut data);
         assert_eq!(data, original, "double XOR not identity at {len} bytes");
     }
 }
@@ -212,13 +182,13 @@ fn keystream_applied_twice_is_identity_across_ragged_lengths() {
 #[test]
 fn every_backend_encrypts_and_decrypts_like_the_reference_at_every_width() {
     for backend in available_backends() {
-        let mut rng = Rng::new(0xBAC_E0D ^ backend.name().len() as u64);
+        let mut rng = Xoshiro256::new(0xBAC_E0D ^ backend.name().len() as u64);
         for blocks in 1usize..=33 {
-            let key = rng.key();
+            let key = rng.next_key128();
             let fast = Aes128::with_backend(&key, backend).unwrap();
             let slow = RefAes128::new(&key);
             let mut data = vec![0u8; blocks * 16];
-            rng.fill(&mut data);
+            rng.fill_bytes(&mut data);
             let mut expect = data.clone();
 
             fast.encrypt_blocks(&mut data);
@@ -235,26 +205,20 @@ fn every_backend_encrypts_and_decrypts_like_the_reference_at_every_width() {
 #[test]
 fn every_backend_keystream_matches_reference_at_every_ragged_tail() {
     for backend in available_backends() {
-        let mut rng = Rng::new(0x0BAC_CB57 ^ backend.name().len() as u64);
+        let mut rng = Xoshiro256::new(0x0BAC_CB57 ^ backend.name().len() as u64);
         for blocks in 0usize..=33 {
             for tail in 0usize..=15 {
                 let len = blocks * 16 + tail;
-                let key = rng.key();
-                let seed = rng.next();
+                let key = rng.next_key128();
+                let (prefix, first) = (rng.next_u64(), rng.next_u64());
                 let fast = Aes128::with_backend(&key, backend).unwrap();
                 let slow = RefAes128::new(&key);
                 let mut data = vec![0u8; len];
-                rng.fill(&mut data);
+                rng.fill_bytes(&mut data);
                 let mut expect = data.clone();
 
-                fast.schedule().xor_keystream(|i| counter(seed, i), &mut data);
-                for (i, chunk) in expect.chunks_mut(16).enumerate() {
-                    let mut ks = counter(seed, i as u64);
-                    slow.encrypt_block(&mut ks);
-                    for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-                        *d ^= *k;
-                    }
-                }
+                fast.schedule().ctr_xor(prefix, first, &mut data);
+                reference_ctr(&slow, prefix, first, &mut expect);
                 assert_eq!(
                     data,
                     expect,
@@ -272,11 +236,11 @@ fn every_backend_keystream_matches_reference_at_every_ragged_tail() {
 #[test]
 fn backends_produce_identical_ciphertext_on_identical_inputs() {
     let backends = available_backends();
-    let mut rng = Rng::new(0xE0_0A11);
+    let mut rng = Xoshiro256::new(0xE0_0A11);
     for blocks in [1usize, 7, 8, 9, 16, 33] {
-        let key = rng.key();
+        let key = rng.next_key128();
         let mut plain = vec![0u8; blocks * 16];
-        rng.fill(&mut plain);
+        rng.fill_bytes(&mut plain);
 
         let reference = Aes128::with_backend(&key, AesBackend::TTable).unwrap();
         let mut want = plain.clone();
@@ -362,21 +326,6 @@ fn fips197_known_answers_hold_on_every_backend() {
 // Mode sweep: counter mode and the PA-tweak XEX mode, per host engine.
 // ---------------------------------------------------------------------------
 
-/// Reference counter mode: one hand-built `nonce_be ‖ (offset + i)_be`
-/// block per 16-byte chunk (the counter wrapping in the low half), each
-/// encrypted by the GF-math core and XORed over the chunk's bytes.
-fn reference_ctr(aes: &RefAes128, nonce: u64, offset: u64, data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(16).enumerate() {
-        let mut ks = [0u8; 16];
-        ks[..8].copy_from_slice(&nonce.to_be_bytes());
-        ks[8..].copy_from_slice(&offset.wrapping_add(i as u64).to_be_bytes());
-        aes.encrypt_block(&mut ks);
-        for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-            *d ^= *k;
-        }
-    }
-}
-
 /// Reference PA-tweak encryption: each block XORed with the public tweak
 /// mask of its own address before and after the GF-math core.
 fn reference_pa_tweak(aes: &RefAes128, base_pa: u64, data: &mut [u8]) {
@@ -400,14 +349,14 @@ fn ciphers_for(key: &[u8; 16]) -> Vec<(AesBackend, Aes128)> {
 
 #[test]
 fn every_backend_ctr128_matches_reference_at_every_byte_length() {
-    let mut rng = Rng::new(0xC7_0128);
-    let key = rng.key();
+    let mut rng = Xoshiro256::new(0xC7_0128);
+    let key = rng.next_key128();
     let ciphers = ciphers_for(&key);
     let slow = RefAes128::new(&key);
     let mut plain = vec![0u8; 1100];
-    rng.fill(&mut plain);
+    rng.fill_bytes(&mut plain);
     for len in 0usize..=1100 {
-        let (nonce, offset) = (rng.next(), rng.next());
+        let (nonce, offset) = (rng.next_u64(), rng.next_u64());
         let mut want = plain[..len].to_vec();
         reference_ctr(&slow, nonce, offset, &mut want);
         for (backend, cipher) in &ciphers {
@@ -429,14 +378,14 @@ fn every_backend_ctr128_matches_reference_at_every_byte_length() {
 
 #[test]
 fn every_backend_sector_runs_match_reference() {
-    let mut rng = Rng::new(0x5EC7_0125);
-    let key = rng.key();
+    let mut rng = Xoshiro256::new(0x5EC7_0125);
+    let key = rng.next_key128();
     let ciphers = ciphers_for(&key);
     let slow = RefAes128::new(&key);
     for sectors in 1usize..=64 {
-        let first = rng.next();
+        let first = rng.next_u64();
         let mut plain = vec![0u8; sectors * SECTOR_SIZE];
-        rng.fill(&mut plain);
+        rng.fill_bytes(&mut plain);
         let mut want = plain.clone();
         for (s, sector) in want.chunks_exact_mut(SECTOR_SIZE).enumerate() {
             reference_ctr(&slow, first.wrapping_add(s as u64), 0, sector);
@@ -454,15 +403,15 @@ fn every_backend_sector_runs_match_reference() {
 
 #[test]
 fn every_backend_pa_tweak_stream_matches_reference_up_to_64k() {
-    let mut rng = Rng::new(0x7A_7EA4);
-    let key = rng.key();
+    let mut rng = Xoshiro256::new(0x7A_7EA4);
+    let key = rng.next_key128();
     let ciphers = ciphers_for(&key);
     let slow = RefAes128::new(&key);
     let wide = [63usize, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 1000, 2047, 2048, 4096];
     for blocks in (0usize..=40).chain(wide) {
-        let base_pa = rng.next();
+        let base_pa = rng.next_u64();
         let mut plain = vec![0u8; 16 * blocks];
-        rng.fill(&mut plain);
+        rng.fill_bytes(&mut plain);
         let mut want = plain.clone();
         reference_pa_tweak(&slow, base_pa, &mut want);
         for (backend, cipher) in &ciphers {
@@ -486,15 +435,15 @@ fn every_backend_pa_tweak_stream_matches_reference_up_to_64k() {
 /// at `u64::MAX` — on every backend, mid-run and across run boundaries.
 #[test]
 fn every_backend_handles_counter_and_address_wrap() {
-    let mut rng = Rng::new(0x0FF_FFFF);
-    let key = rng.key();
+    let mut rng = Xoshiro256::new(0x0FF_FFFF);
+    let key = rng.next_key128();
     let ciphers = ciphers_for(&key);
     let slow = RefAes128::new(&key);
     let mut plain = vec![0u8; 16 * 80 + 9];
-    rng.fill(&mut plain);
+    rng.fill_bytes(&mut plain);
     for back in 0u64..=40 {
         let offset = u64::MAX - back;
-        let nonce = rng.next();
+        let nonce = rng.next_u64();
         for len in [1usize, 16, 17, 100, 128, 129, 256, 300, 513, plain.len()] {
             let mut want = plain[..len].to_vec();
             reference_ctr(&slow, nonce, offset, &mut want);

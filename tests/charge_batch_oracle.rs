@@ -7,49 +7,30 @@
 //! "close" is not good enough — the fold must replay the exact same
 //! sequence of f64 additions per category.
 //!
-//! A seeded xorshift generator stands in for a property-testing
-//! framework: every case is reproducible from the fixed seeds, with no
-//! external dependencies. The mixes deliberately interleave categories
-//! (merging is only allowed for *adjacent* same-category, bit-equal-cost
-//! runs), vary unit costs so runs break, include zero counts, and fold
-//! at random points mid-stream the way the wrapper functions in
-//! `fidelius_hw::cpu` do at every exit edge.
+//! The crate's seeded Xoshiro256** generator stands in for a
+//! property-testing framework: every case is reproducible from the fixed
+//! seeds, with no external dependencies. The mixes deliberately
+//! interleave categories (merging is only allowed for *adjacent*
+//! same-category, bit-equal-cost runs), vary unit costs so runs break,
+//! include zero counts, and fold at random points mid-stream the way the
+//! wrapper functions in `fidelius_hw::cpu` do at every exit edge.
 
+use fidelius::crypto::rng::Xoshiro256;
 use fidelius::hw::cycles::{ChargeBatch, CycleCategory, Cycles};
-
-/// xorshift64* — deterministic pseudo-random stream for test inputs.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Draws a deliberately awkward unit cost: fractional values whose sums
 /// are not exactly representable, so any reassociation of the additions
 /// (e.g. multiplying `count * cost` instead of adding `count` times)
 /// would change the low bits and fail the comparison.
-fn draw_cost(rng: &mut Rng) -> f64 {
+fn draw_cost(rng: &mut Xoshiro256) -> f64 {
     // A small pool keeps bit-equal repeats frequent enough to exercise
     // run merging, while the odd denominators guarantee inexact sums.
     const POOL: [f64; 6] = [0.1, 0.3, 1.0, 7.0 / 3.0, 60.0, 113.0 / 7.0];
-    POOL[rng.below(POOL.len() as u64) as usize]
+    POOL[rng.next_bounded(POOL.len() as u64) as usize]
 }
 
-fn draw_category(rng: &mut Rng) -> CycleCategory {
-    CycleCategory::ALL[rng.below(CycleCategory::ALL.len() as u64) as usize]
+fn draw_category(rng: &mut Xoshiro256) -> CycleCategory {
+    CycleCategory::ALL[rng.next_bounded(CycleCategory::ALL.len() as u64) as usize]
 }
 
 /// Asserts bit-level equality of every category accumulator and the
@@ -76,7 +57,7 @@ fn assert_bit_identical(batched: &Cycles, sequential: &Cycles, context: &str) {
 /// into a [`ChargeBatch`] and folds at random points (always folding
 /// whatever is left at the end, like the wrapper's final fold).
 fn run_mix(seed: u64, ops: u64) {
-    let mut rng = Rng::new(seed);
+    let mut rng = Xoshiro256::new(seed);
     let mut batched = Cycles::new();
     let mut sequential = Cycles::new();
 
@@ -92,14 +73,14 @@ fn run_mix(seed: u64, ops: u64) {
         let cat = draw_category(&mut rng);
         let cost = draw_cost(&mut rng);
         // Zero counts must be a no-op; small counts keep runs short.
-        let count = rng.below(4);
+        let count = rng.next_bounded(4);
         batch.add(cat, count, cost);
         for _ in 0..count {
             sequential.charge_as(cat, cost);
         }
         // Fold mid-stream about one op in five — a batch's correctness
         // must not depend on where the stream was cut.
-        if rng.below(5) == 0 {
+        if rng.next_bounded(5) == 0 {
             batched.apply_batch(&batch);
             batch.clear();
             assert_bit_identical(&batched, &sequential, "mid-stream fold");
@@ -122,7 +103,7 @@ fn batched_charging_matches_charge_through_current_category() {
     // category) for plain memory accesses while engine costs defer into
     // the batch; cross-category interleaving must not perturb either
     // accumulator because the per-category add order is what matters.
-    let mut rng = Rng::new(0x00C4_A6E0);
+    let mut rng = Xoshiro256::new(0x00C4_A6E0);
     let mut batched = Cycles::new();
     let mut sequential = Cycles::new();
     let mut batch = ChargeBatch::new();
@@ -130,7 +111,7 @@ fn batched_charging_matches_charge_through_current_category() {
         let span = draw_category(&mut rng);
         let prev_b = batched.enter(span);
         let prev_s = sequential.enter(span);
-        for _ in 0..(1 + rng.below(3)) {
+        for _ in 0..(1 + rng.next_bounded(3)) {
             // Immediate charge to the current category on both sides
             // (models `mem_access` in `host_translate`).
             batched.charge(1.0);

@@ -8,41 +8,22 @@
 //! simulator-speed optimization plus a submission amortization; it is
 //! never allowed to change what the modeled machine does.
 //!
-//! A seeded xorshift generator stands in for a property-testing
-//! framework: every case is reproducible from the fixed seeds, with no
-//! external dependencies. The mixes deliberately include overlapping
-//! sectors (read-after-write inside one window), cross-page sector runs,
-//! and out-of-range requests (which must fail their own slot without
-//! hurting their neighbours).
+//! The crate's seeded Xoshiro256** generator stands in for a
+//! property-testing framework: every case is reproducible from the fixed
+//! seeds, with no external dependencies. The mixes deliberately include
+//! overlapping sectors (read-after-write inside one window), cross-page
+//! sector runs, and out-of-range requests (which must fail their own slot
+//! without hurting their neighbours).
 
 use fidelius::core::lifecycle::boot_encrypted_guest;
 use fidelius::core::Fidelius;
 use fidelius::crypto::modes::SECTOR_SIZE;
+use fidelius::crypto::rng::Xoshiro256;
 use fidelius::sev::GuestOwner;
 use fidelius::xen::blkif::BlkStatus;
 use fidelius::xen::frontend::IoPath;
 use fidelius::xen::system::{BatchOp, GuestConfig};
 use fidelius::xen::{DomainId, System, Unprotected};
-
-/// xorshift64* — deterministic pseudo-random stream for test inputs.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Disk size for every differential system, in sectors. Kept small so
 /// overlapping and out-of-range draws are frequent.
@@ -73,20 +54,20 @@ fn build(path: IoPath, queues: u64) -> (System, DomainId) {
 /// out-of-range (must fail its own slot only); sectors are drawn from a
 /// small space so windows routinely overlap themselves and each other,
 /// and counts routinely cross page boundaries.
-fn draw_window(rng: &mut Rng) -> Vec<BatchOp> {
-    let ops = 1 + rng.below(5);
+fn draw_window(rng: &mut Xoshiro256) -> Vec<BatchOp> {
+    let ops = 1 + rng.next_bounded(5);
     (0..ops)
         .map(|_| {
-            let count = 1 + rng.below(8);
-            let sector = if rng.below(8) == 0 {
+            let count = 1 + rng.next_bounded(8);
+            let sector = if rng.next_bounded(8) == 0 {
                 // Out of range: starts inside, runs off the end, or is
                 // entirely past the disk.
-                DISK_SECTORS - count / 2 + rng.below(16)
+                DISK_SECTORS - count / 2 + rng.next_bounded(16)
             } else {
-                rng.below(DISK_SECTORS - count)
+                rng.next_bounded(DISK_SECTORS - count)
             };
-            if rng.below(2) == 0 {
-                let byte = rng.next() as u8;
+            if rng.next_bounded(2) == 0 {
+                let byte = rng.next_u64() as u8;
                 BatchOp::Write { sector, data: vec![byte; (count as usize) * SECTOR_SIZE] }
             } else {
                 BatchOp::Read { sector, count }
@@ -114,10 +95,10 @@ struct Observed {
 fn run_mix(path: IoPath, queues: u64, seed: u64, windows: u64, oracle: bool) -> Observed {
     let (mut sys, dom) = build(path, queues);
     sys.xen.backend.set_drain_one_at_a_time(oracle);
-    let mut rng = Rng::new(seed);
+    let mut rng = Xoshiro256::new(seed);
     let mut results = Vec::new();
     for _ in 0..windows {
-        let q = rng.below(queues);
+        let q = rng.next_bounded(queues);
         let ops = draw_window(&mut rng);
         results.push(sys.disk_batch(dom, q, &ops).unwrap());
     }

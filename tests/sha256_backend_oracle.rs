@@ -18,15 +18,23 @@
 //! - the FIPS 180-4 vectors (empty, `abc`, the 448-bit two-block message,
 //!   a million `a`s) and the RFC 4231 HMAC-SHA-256 cases on each engine.
 //!
-//! A seeded xorshift generator stands in for a property-testing framework
-//! (no external dependencies). A backend that is unavailable in this
-//! build/host is skipped (and logged), never silently substituted: with
-//! the `aesni` feature off only the portable core runs; with it on, a
-//! host with the SHA extensions runs both.
+//! The crate's seeded Xoshiro256** generator stands in for a
+//! property-testing framework (no external dependencies). A backend that
+//! is unavailable in this build/host is skipped (and logged), never
+//! silently substituted: with the `aesni` feature off only the portable
+//! core runs; with it on, a host with the SHA extensions runs both.
 
 use fidelius::crypto::hmac::hmac_sha256;
+use fidelius::crypto::rng::Xoshiro256;
 use fidelius::crypto::sha256::{default_backend, Sha256, ShaBackend};
 use fidelius::crypto::CryptoError;
+
+/// `len` bytes from the seeded stream.
+fn bytes(rng: &mut Xoshiro256, len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    rng.fill_bytes(&mut v);
+    v
+}
 
 /// The backends this host can actually run (always at least the oracle).
 fn available_backends() -> Vec<ShaBackend> {
@@ -54,29 +62,6 @@ fn digest_on(backend: ShaBackend, data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// xorshift64* — deterministic pseudo-random stream for test inputs.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-}
-
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -84,8 +69,8 @@ fn hex(bytes: &[u8]) -> String {
 #[test]
 fn every_backend_matches_portable_at_every_length() {
     let backends = available_backends();
-    let mut rng = Rng::new(0x5A56_0001);
-    let data = rng.bytes(1100);
+    let mut rng = Xoshiro256::new(0x5A56_0001);
+    let data = bytes(&mut rng, 1100);
     for len in 0..=1100 {
         let expect = digest_on(ShaBackend::Portable, &data[..len]);
         for &b in &backends {
@@ -93,8 +78,8 @@ fn every_backend_matches_portable_at_every_length() {
         }
     }
     for case in 0..24 {
-        let len = rng.below(64 * 1024 + 1);
-        let msg = rng.bytes(len);
+        let len = rng.next_bounded(64 * 1024 + 1) as usize;
+        let msg = bytes(&mut rng, len);
         let expect = digest_on(ShaBackend::Portable, &msg);
         for &b in &backends {
             assert_eq!(
@@ -110,11 +95,11 @@ fn every_backend_matches_portable_at_every_length() {
 #[test]
 fn every_backend_matches_portable_under_random_update_splits() {
     let backends = available_backends();
-    let mut rng = Rng::new(0x5A56_0002);
+    let mut rng = Xoshiro256::new(0x5A56_0002);
     const EDGES: [usize; 7] = [0, 1, 55, 56, 63, 64, 65];
     for case in 0..200 {
-        let len = rng.below(9000);
-        let msg = rng.bytes(len);
+        let len = rng.next_bounded(9000) as usize;
+        let msg = bytes(&mut rng, len);
         let expect = digest_on(ShaBackend::Portable, &msg);
         // Piece lengths: the edge sizes in a rotating order, then random
         // sizes (including whole pages), until the message is used up.
@@ -124,10 +109,10 @@ fn every_backend_matches_portable_under_random_update_splits() {
         while left > 0 {
             let want = if pieces.len() < EDGES.len() {
                 EDGES[i % EDGES.len()]
-            } else if rng.below(8) == 0 {
+            } else if rng.next_bounded(8) == 0 {
                 4096
             } else {
-                rng.below(300)
+                rng.next_bounded(300) as usize
             };
             i += 1;
             let take = want.min(left);
@@ -154,14 +139,14 @@ fn every_backend_matches_portable_under_random_update_splits() {
 #[test]
 fn clone_then_finalize_mid_stream_matches_portable() {
     let backends = available_backends();
-    let mut rng = Rng::new(0x5A56_0003);
+    let mut rng = Xoshiro256::new(0x5A56_0003);
     // The firmware measurement shape: pages into one running hasher, with
     // a snapshot digest taken between updates; plus ragged updates so the
     // snapshot also lands on a partially filled buffer.
-    let mut pieces: Vec<Vec<u8>> = (0..12).map(|_| rng.bytes(4096)).collect();
+    let mut pieces: Vec<Vec<u8>> = (0..12).map(|_| bytes(&mut rng, 4096)).collect();
     for _ in 0..24 {
-        let len = rng.below(200);
-        pieces.push(rng.bytes(len));
+        let len = rng.next_bounded(200) as usize;
+        pieces.push(bytes(&mut rng, len));
     }
     for &b in &backends {
         let mut oracle = hasher(ShaBackend::Portable);
